@@ -197,6 +197,12 @@ def _emit(text: str, out: str | None) -> None:
 _NAN_ROW = float("nan")
 
 
+def _report_failed_row(inputs: dict, err: Exception) -> None:
+    # stderr only, so the table on stdout stays byte-identical
+    where = ", ".join(f"{key}={_fmt_cell(v)}" for key, v in inputs.items())
+    print(f"row {where} failed: {type(err).__name__}: {err}", file=sys.stderr)
+
+
 def _cmd_dep(args) -> int:
     cfg = load_config(args.config, args.set)
     base = cfg.system_params()
@@ -219,7 +225,8 @@ def _cmd_dep(args) -> int:
                 row["dep_analytic"] = analytic.dep(params)
                 row["dep_mc_mean"] = fa.mean + md.mean
                 row["dep_mc_se"] = math.hypot(fa.std_error, md.std_error)
-            except (ValueError, ConvergenceError):
+            except (ValueError, ConvergenceError) as err:
+                _report_failed_row(row, err)
                 row["dep_analytic"] = _NAN_ROW
                 row["dep_mc_mean"] = _NAN_ROW
                 row["dep_mc_se"] = _NAN_ROW
@@ -253,7 +260,8 @@ def _cmd_rtp(args) -> int:
                 row["rtp_analytic"] = analytic.rtp(params)
                 row["rtp_mc_mean"] = est.mean
                 row["rtp_mc_se"] = est.std_error
-            except (ValueError, ConvergenceError):
+            except (ValueError, ConvergenceError) as err:
+                _report_failed_row(row, err)
                 row["rtp_analytic"] = _NAN_ROW
                 row["rtp_mc_mean"] = _NAN_ROW
                 row["rtp_mc_se"] = _NAN_ROW
@@ -285,7 +293,8 @@ def _cmd_power_bounds(args) -> int:
             row["rate_star"] = (
                 result.rate_star if result.rate_star is not None else _NAN_ROW
             )
-        except (ValueError, ConvergenceError, optimizer.MonotonicityError):
+        except (ValueError, ConvergenceError, optimizer.MonotonicityError) as err:
+            _report_failed_row(row, err)
             row.update(
                 p_low=_NAN_ROW, p_up=_NAN_ROW, feasible=False,
                 p_star=_NAN_ROW, rate_star=_NAN_ROW,
@@ -314,7 +323,8 @@ def _cmd_capacity(args) -> int:
                     template, args.p_min, p_max, args.tol
                 )
                 row["k_star"] = result.k_star
-            except (ValueError, ConvergenceError, optimizer.MonotonicityError):
+            except (ValueError, ConvergenceError, optimizer.MonotonicityError) as err:
+                _report_failed_row(row, err)
                 row["k_star"] = _NAN_ROW
                 failed = True
             rows.append(row)

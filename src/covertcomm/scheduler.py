@@ -201,16 +201,18 @@ def update_beliefs(
     pi = state.probs
     rho = cfg.belief_persistence
     prior = rho * pi + (1.0 - rho) * (1.0 - pi)
-    like_occ = np.where(observed, 1.0 - cfg.sense_miss_prob, cfg.sense_miss_prob)
-    like_free = np.where(observed, cfg.sense_fa_prob, 1.0 - cfg.sense_fa_prob)
+    # column 0 is "seen free", column 1 "seen occupied"; rows are the
+    # likelihoods given a truly occupied and a truly free slot
+    like_occ, like_free = np.array(
+        (
+            (cfg.sense_miss_prob, 1.0 - cfg.sense_miss_prob),
+            (1.0 - cfg.sense_fa_prob, cfg.sense_fa_prob),
+        )
+    ).take(observed.view(np.int8), axis=1)
     num = prior * like_occ
     den = num + (1.0 - prior) * like_free
-    post = np.where(den > 0.0, num / np.where(den > 0.0, den, 1.0), prior)
+    post = np.divide(num, den, out=prior.copy(), where=den > 0.0)
     return BeliefState(probs=post)
-
-
-def _admissible(f, taken, prev_f, excluded):
-    return f not in taken and f != prev_f and (excluded is None or f not in excluded)
 
 
 def decide(
@@ -256,29 +258,28 @@ def decide(
         raise ValueError(f"unknown policy {policy!r}, expected one of {POLICIES}")
 
     taken: set[int] = set(occupied) if occupied else set()
-    out = np.full(n, -1, dtype=int)
-    if policy == GREEDY_BELIEF:
-        order = np.argsort(beliefs.probs, kind="stable")
-        for u in range(n):
-            excl = excluded[u] if excluded is not None else None
-            for f in order:
-                f = int(f)
-                if _admissible(f, taken, prev[u], excl):
-                    out[u] = f
-                    taken.add(f)
-                    break
-    else:
-        for u in range(n):
-            excl = excluded[u] if excluded is not None else None
-            cand = [f for f in range(q) if _admissible(f, taken, prev[u], excl)]
-            if cand:
-                f = cand[int(gen.integers(len(cand)))]
-                out[u] = f
-                taken.add(f)
-    if np.any(out < 0):
+    slots = (
+        beliefs.probs.argsort(kind="stable").tolist()
+        if policy == GREEDY_BELIEF
+        else range(q)
+    )
+    picks = []
+    for u, prev_f in enumerate(prev.tolist()):
+        banned = taken | {prev_f}
+        if excluded is not None:
+            banned.update(excluded[u])
+        if policy == GREEDY_BELIEF:
+            f = next((f for f in slots if f not in banned), -1)
+        else:
+            cand = [f for f in slots if f not in banned]
+            f = cand[int(gen.integers(len(cand)))] if cand else -1
+        picks.append(f)
+        taken.add(f)  # an unplaced user's -1 matches no slot
+    out = np.array(picks, dtype=int)
+    unplaced = picks.count(-1)
+    if unplaced:
         raise OverloadError(
-            f"{int(np.count_nonzero(out < 0))} of {n} users could not be placed",
-            assignment=out,
+            f"{unplaced} of {n} users could not be placed", assignment=out
         )
     return out
 
@@ -307,30 +308,22 @@ def run_episode_trace(cfg: GridConfig, policy, rng: RngSpec):
 
     beliefs = [BeliefState.uniform(cfg.q) for _ in range(cfg.m)]
     # user index ranges per station
-    bounds = np.concatenate([[0], np.cumsum(cfg.users_per_bs)])
+    bounds = np.concatenate([[0], np.cumsum(cfg.users_per_bs)]).tolist()
     prev = np.full(n_users, -1, dtype=int)
     block_used: list[set[int]] = [set() for _ in range(n_users)]
-
-    collisions = 0
-    jammer_hits = 0
-    hop_violations = 0
-    blocks = 0
     overloads = 0
-    streak = np.zeros(n_users, dtype=int)
-    slot_counts = np.zeros((n_users, cfg.q), dtype=np.int64)
 
     for t in range(cfg.p):
         ext = gen.random(cfg.q) < cfg.external_occupancy_prob
-        row = np.zeros(cfg.q, dtype=np.int8)
+        row = grid.source[t]
         row[ext] = _SRC_EXTERNAL
         row[jam] = _SRC_JAMMER
-        grid.source[t] = row
         truth = row > 0
 
         if cfg.distinct_within_block and t % cfg.L == 0:
             block_used = [set() for _ in range(n_users)]
 
-        alloc = np.full(n_users, -1, dtype=int)
+        alloc = grid.assignments[t]
         claimed: set[int] = set()
         for b in range(cfg.m):
             obs = sense(truth, cfg, gen)
@@ -349,43 +342,47 @@ def run_episode_trace(cfg: GridConfig, policy, rng: RngSpec):
                 got = err.assignment
                 overloads += int(np.count_nonzero(got < 0))
             alloc[lo:hi] = got
-            claimed.update(int(f) for f in got if f >= 0)
+            claimed.update(f for f in got.tolist() if f >= 0)
 
-        grid.assignments[t] = alloc
-
-        active = alloc >= 0
-        occ_count = np.bincount(alloc[active], minlength=cfg.q)
-        collisions += int(np.count_nonzero(occ_count >= 2))
-        jammer_hits += int(np.count_nonzero(truth[alloc[active]]))
-        hop_violations += int(
-            np.count_nonzero(active & (prev >= 0) & (alloc == prev))
-        )
-        slot_counts[np.flatnonzero(active), alloc[active]] += 1
         if cfg.distinct_within_block:
-            for u in np.flatnonzero(active):
-                block_used[u].add(int(alloc[u]))
-
-        # a transmission is clean when the user has the cell to itself
-        # and no jammer or external source sits on it
-        safe = np.where(active, alloc, 0)
-        clean = active & ~truth[safe] & (occ_count[safe] == 1)
-        streak = np.where(clean, streak + 1, 0)
-        full = streak >= cfg.L
-        blocks += int(np.count_nonzero(full))
-        streak[full] = 0
-
+            for u, f in enumerate(alloc.tolist()):
+                if f >= 0:
+                    block_used[u].add(f)
         prev = alloc
 
+    return _episode_stats(grid, cfg.L, overloads), grid
+
+
+def _episode_stats(grid: OccupancyGrid, L: int, overloads: int) -> EpisodeStats:
+    """Outcome counters of a finished episode, read off its grid."""
+    alloc = grid.assignments
+    p, n_users = alloc.shape
+    q = grid.q
+    active = alloc >= 0
+    t_idx, u_idx = np.nonzero(active)
+    f_idx = alloc[t_idx, u_idx].astype(np.int64)
+    users_on_cell = np.bincount(t_idx * q + f_idx, minlength=p * q).reshape(p, q)
+    hostile = grid.source[t_idx, f_idx] > 0
+    # a transmission is clean when the user has the cell to itself and
+    # no jammer or external source sits on it; a block is L clean time
+    # slots in a row, so a run of r clean slots delivers r // L blocks
+    clean = np.zeros((n_users, p + 2), dtype=np.int8)  # idle pad at both ends
+    clean[u_idx, t_idx + 1] = ~hostile & (users_on_cell[t_idx, f_idx] == 1)
+    edges = np.diff(clean.ravel())
+    runs = np.flatnonzero(edges == -1) - np.flatnonzero(edges == 1)
+    slot_counts = np.bincount(u_idx * q + f_idx, minlength=n_users * q).reshape(
+        n_users, q
+    )
     entropy = float(np.mean([_entropy_bits(slot_counts[u]) for u in range(n_users)]))
-    stats = EpisodeStats(
-        collisions=collisions,
-        jammer_hits=jammer_hits,
-        hop_violations=hop_violations,
-        blocks_delivered=blocks,
+    return EpisodeStats(
+        collisions=int(np.count_nonzero(users_on_cell >= 2)),
+        jammer_hits=int(np.count_nonzero(hostile)),
+        # an active user on its previous slot; idle users never match
+        hop_violations=int(np.count_nonzero(active[1:] & (alloc[1:] == alloc[:-1]))),
+        blocks_delivered=int((runs // L).sum()),
         overloads=overloads,
         pattern_entropy=entropy,
     )
-    return stats, grid
 
 
 def run_episode(cfg: GridConfig, policy, rng: RngSpec) -> EpisodeStats:

@@ -9,7 +9,7 @@ import pytest
 from covertcomm import cli
 from covertcomm.analytic import dep, rtp
 from covertcomm.montecarlo import RngSpec
-from covertcomm.optimizer import max_users, optimal_power
+from covertcomm.optimizer import MonotonicityError, max_users, optimal_power
 from covertcomm.params import SystemParams, power_from_snr_db
 from covertcomm.scheduler import GREEDY_BELIEF, GridConfig, run_episode
 
@@ -244,6 +244,39 @@ def test_exit_codes(capsys, tmp_path):
         cli.main(["dep", "--format", "yaml"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+def test_failed_rows_say_why(capsys, monkeypatch):
+    # dep and rtp rows fail on a user count the grid cannot hold
+    for cmd in ("dep", "rtp"):
+        code, out, err = _run(capsys, cmd, "--snr-db", "0", "--k-list", "4,65",
+                              "--trials", "200")
+        assert code == 1
+        assert out.strip().splitlines()[2].endswith("nan,nan,nan")
+        assert err.splitlines() == [
+            "row snr_db=0, k=65 failed: ValueError: k must lie in [1, q]=[1, 64], got k=65"
+        ]
+
+    # solver failures in power-bounds and capacity (max_users calls
+    # optimal_power); stdout and the exit code are those without the report
+    def fail(params, *args, **kwargs):
+        raise MonotonicityError(f"no bracket at k={params.k}")
+
+    monkeypatch.setattr(cli.optimizer, "optimal_power", fail)
+    code, out, err = _run(capsys, "power-bounds", "--k-range", "2:3")
+    assert code == 1
+    assert out == "k,p_low,p_up,feasible,p_star,rate_star\n" + "".join(
+        f"{k},nan,nan,false,nan,nan\n" for k in (2, 3)
+    )
+    assert err.splitlines() == [
+        f"row k={k} failed: MonotonicityError: no bracket at k={k}" for k in (2, 3)
+    ]
+    code, out, err = _run(capsys, "capacity", "--snr-db", "10", "--eps-u-list", "0.1")
+    assert code == 1
+    assert out == "snr_db,eps_u,k_star\n10,0.1,nan\n"
+    assert err.splitlines() == [
+        "row snr_db=10, eps_u=0.1 failed: MonotonicityError: no bracket at k=1"
+    ]
 
 
 def test_nan_cell_renders_as_nan():

@@ -14,6 +14,7 @@ from covertcomm.scheduler import (
     EpisodeStats,
     GridConfig,
     OverloadError,
+    _entropy_bits,
     decide,
     run_episode,
     run_episode_trace,
@@ -267,3 +268,90 @@ def test_stats_fields_round_trip():
         "overloads": 5,
         "pattern_entropy": 6.5,
     }
+
+
+# a noisy 4-station grid with the shared control matrix, and a
+# block-distinct grid too small for it, so placements overload and
+# uncoordinated stations collide
+_NOISY = GridConfig(
+    q=64, p=1000, L=8, m=4, users_per_bs=(2, 2, 2, 2),
+    jammed_slots=_JAM, external_occupancy_prob=0.02,
+    sense_miss_prob=0.1, sense_fa_prob=0.05, shared_control_matrix=True,
+)
+_TIGHT = GridConfig(
+    q=5, p=240, L=5, m=2, users_per_bs=(2, 1),
+    jammed_slots=frozenset({2}), external_occupancy_prob=0.1,
+    sense_miss_prob=0.2, sense_fa_prob=0.1, distinct_within_block=True,
+)
+
+
+@pytest.mark.parametrize(
+    "cfg,spec,policy,want",
+    [
+        (_NOISY, RngSpec(2024, 3), GREEDY_BELIEF,
+         EpisodeStats(0, 25, 0, 984, 0, 4.112246966633499)),
+        (_NOISY, RngSpec(2024, 3), RANDOM_HOP,
+         EpisodeStats(0, 668, 0, 669, 0, 5.958171250071377)),
+        (_TIGHT, RngSpec(2024, 4), GREEDY_BELIEF,
+         EpisodeStats(156, 136, 0, 2, 39, 2.2801575193030597)),
+        (_TIGHT, RngSpec(2024, 4), RANDOM_HOP,
+         EpisodeStats(88, 198, 0, 9, 6, 2.3218229954198057)),
+    ],
+    ids=["noisy-greedy", "noisy-random", "tight-greedy", "tight-random"],
+)
+def test_episode_golden(cfg, spec, policy, want):
+    # pinned episode outcomes: any change to the order or number of
+    # random draws, or to the allocation rules, shows up here
+    assert run_episode(cfg, policy, spec) == want
+
+
+def _per_slot_stats(grid, L, overloads):
+    # slot-by-slot bookkeeping over the finished grid, as the episode
+    # loop once kept it; the reference for the whole-grid counters
+    p, n_users = grid.assignments.shape
+    prev = np.full(n_users, -1)
+    streak = np.zeros(n_users, dtype=int)
+    slot_counts = np.zeros((n_users, grid.q), dtype=np.int64)
+    collisions = jammer_hits = hop_violations = blocks = 0
+    for t in range(p):
+        alloc = grid.assignments[t].astype(int)
+        truth = grid.source[t] > 0
+        active = alloc >= 0
+        occ_count = np.bincount(alloc[active], minlength=grid.q)
+        collisions += int(np.count_nonzero(occ_count >= 2))
+        jammer_hits += int(np.count_nonzero(truth[alloc[active]]))
+        hop_violations += int(np.count_nonzero(active & (prev >= 0) & (alloc == prev)))
+        slot_counts[np.flatnonzero(active), alloc[active]] += 1
+        safe = np.where(active, alloc, 0)
+        clean = active & ~truth[safe] & (occ_count[safe] == 1)
+        streak = np.where(clean, streak + 1, 0)
+        full = streak >= L
+        blocks += int(np.count_nonzero(full))
+        streak[full] = 0
+        prev = alloc
+    entropy = float(np.mean([_entropy_bits(c) for c in slot_counts]))
+    return EpisodeStats(
+        collisions, jammer_hits, hop_violations, blocks, overloads, entropy
+    )
+
+
+def _erratic(beliefs, prev, gen):
+    # idle users, repeated slots and shared slots, which the built-in
+    # policies never produce
+    return gen.integers(-1, 3, size=prev.size)
+
+
+@pytest.mark.parametrize(
+    "cfg,policy",
+    [
+        (_NOISY, GREEDY_BELIEF),
+        (_TIGHT, RANDOM_HOP),
+        (GridConfig(q=3, p=200, L=2, m=2, users_per_bs=(2, 1),
+                    jammed_slots=frozenset({0}), external_occupancy_prob=0.3),
+         _erratic),
+    ],
+    ids=["noisy-greedy", "tight-random", "erratic"],
+)
+def test_episode_counters_match_per_slot_reference(cfg, policy):
+    stats, grid = run_episode_trace(cfg, policy, RngSpec(2025, 0))
+    assert stats == _per_slot_stats(grid, cfg.L, stats.overloads)
