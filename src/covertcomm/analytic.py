@@ -10,21 +10,29 @@ Gamma shapes gives the conditional miss probability
     P_md(g) = (1-x)^kL * sum_n [(kL)_n / n!] x^n P(qL + n, y),
 
 with x = rho g / (rho g + sigma0_sq) and y the threshold in noise units.
-Averaging x^n (1-x)^kL over the exponential gain density turns each
-mixture weight into c (kL)_n U(n+1, 2-kL, c) with c = sigma0_sq /
-(rho omega_e), which is the series evaluated by the "series" method
-below; the "quadrature" method integrates P_md(g) against the gain
-density directly. The two are independent routes to the same number and
-are kept separate so they can cross-check each other.
+Two independent routes average it over the exponential gain, and they
+are kept separate so they can cross-check each other:
+
+- "quadrature" substitutes z = ln(rho g / sigma0_sq), so x = logistic(z)
+  and the gain density becomes phi(z + ln c) with phi(w) = exp(w - e^w)
+  and c = sigma0_sq / (rho omega_e). The integrand is analytic and
+  decays doubly exponentially, so the trapezoid rule on the nested grids
+  z_j = j 2^-level converges exponentially; the level is refined until
+  two successive grids agree. Each mixture term is one exp of a
+  log-space sum, so nothing overflows for large kL. The grid does not
+  depend on p_b, so P_md at the nodes is cached in blocks and shared by
+  every power a solver tries at one (qL, kL, y).
+- "series" turns each mixture weight, averaged over the gain, into
+  c (kL)_n U(n+1, 2-kL, c) with the Tricomi U function and sums the
+  resulting series under a SeriesControl.
 """
 
+import functools
 import math
 import threading
-import warnings
 
 import numpy as np
-from scipy import integrate
-from scipy.integrate import IntegrationWarning
+from scipy.special import gammaln
 
 from .params import SystemParams
 from .specfun import (
@@ -168,62 +176,91 @@ def miss_detection_conditional(
     )
 
 
-def _checked_quad(fn, lo, hi, points=None):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        val, err = integrate.quad(
-            fn, lo, hi, points=points, limit=300, epsabs=1e-14, epsrel=1e-10
-        )
-    if err > max(abs(val) * 1e-7, 1e-12):
-        raise ConvergenceError(
-            f"gain average quadrature error {err:g} too large (value {val:g})"
-        )
-    return val
+# phi(w) = exp(w - e^w) keeps less than 1e-18 of its mass outside this range
+_W_LO, _W_HI = -42.0, 4.0
+_LEVEL_START = 4
+_LEVEL_MAX = 10
+_BLOCK = 128  # trapezoid nodes per cached block of conditional miss values
+_TRAP_REL_TOL = 1e-7
+# a mixture term with P below this adds less than it (the weights sum to <= 1)
+_P_FLOOR = 1e-30
 
 
-def _avg_md_quadrature(params: SystemParams, y: float, ctl: SeriesControl) -> float:
-    s2 = params.sigma0_sq
+@functools.lru_cache(maxsize=64)
+def _log_mixture_coeffs(s0: float, kl: float, y: float) -> np.ndarray:
+    """log((kL)_n / n!) + log P(qL + n, y) for every n with P >= _P_FLOOR."""
+    pvals = _shape_table(s0, y).alive_prefix()
+    # P decreases in n, so the kept entries are a prefix
+    pvals = pvals[: np.count_nonzero(pvals >= _P_FLOOR)]
+    n = np.arange(pvals.size, dtype=float)
+    coeffs = gammaln(kl + n) - gammaln(kl) - gammaln(n + 1.0) + np.log(pvals)
+    coeffs.flags.writeable = False
+    return coeffs
+
+
+@functools.lru_cache(maxsize=256)
+def _cond_md_block(
+    s0: float, kl: float, y: float, level: int, block: int
+) -> np.ndarray:
+    """Conditional miss h(z_j) at z_j = j 2^-level, j in one block of nodes.
+
+    z = ln(rho g / sigma0_sq), so x = logistic(z) and every mixture term
+    is one exp of a log-space sum; nothing is multiplied out.
+    """
+    coeffs = _log_mixture_coeffs(s0, kl, y)
+    z = np.arange(block * _BLOCK, (block + 1) * _BLOCK) * 2.0**-level
+    log_1mx = -np.logaddexp(0.0, z)
+    log_x = -np.logaddexp(0.0, -z)
+    # log(1 - x) falls and log x rises with z: bound each column's exponent
+    # over the block and skip the columns that underflow everywhere
+    bound = kl * log_1mx[0] + np.arange(coeffs.size) * log_x[-1] + coeffs
+    live = np.flatnonzero(bound > -745.0)
+    h = np.zeros(_BLOCK)
+    if live.size:
+        n = np.arange(live[0], live[-1] + 1)
+        expo = kl * log_1mx[:, None] + log_x[:, None] * n + coeffs[n]
+        h = np.exp(expo, out=expo).sum(axis=1)
+    h.flags.writeable = False
+    return h
+
+
+def _avg_md_quadrature(params: SystemParams, y: float) -> float:
+    # md = integral of h(z) phi(z + ln c) dz with c = sigma0_sq / (rho omega_e);
+    # the trapezoid rule on the nested grids z_j = j 2^-level converges
+    # exponentially for this analytic, doubly exponentially decaying
+    # integrand, and the grids do not depend on p_b, so the h blocks are
+    # shared by every power a solver tries
     s0 = float(params.q * params.L)
     kl = float(params.k * params.L)
-    rho = params.rho
-    omega = params.omega_e
-    table = _shape_table(s0, y)
-    pvals = table.alive_prefix()
-    n_alive = pvals.size
-    # ratio of consecutive mixture weights, without the x factor
-    base = (kl + np.arange(n_alive - 1, dtype=float)) / np.arange(1.0, n_alive)
-
-    def cond_md(g: float) -> float:
-        rg = rho * g
-        if rg == 0.0:
-            return float(pvals[0])
-        x = rg / (rg + s2)
-        lt0 = kl * math.log1p(-x)
-        if lt0 <= -745.0:
-            return 0.0
-        t = np.empty(n_alive)
-        t[0] = 1.0
-        np.cumprod(x * base, out=t[1:])
-        return math.exp(lt0) * float(t @ pvals)
-
-    def integrand(g: float) -> float:
-        return math.exp(-g / omega) / omega * cond_md(g)
-
-    g_max = omega * math.log(1e16)
-    pts = None
-    if params.p_b > 0.0:
-        # gain at which the mean occupied-slot energy crosses the
-        # threshold; the integrand bends hardest there
-        g_star = (params.effective_threshold - s0 * s2) * params.q / (
-            params.m * params.p_b
-        )
-        if 0.0 < g_star < g_max:
-            pts = [g_star]
-    bulk = _checked_quad(integrand, 0.0, g_max, points=pts)
-    # exponential tail beyond g_max, bounded by the (decreasing)
-    # integrand value at the cut
-    tail = cond_md(g_max) * math.exp(-g_max / omega)
-    return bulk + tail
+    # ln(sigma0_sq / (rho omega_e)), without forming rho, which underflows
+    # for subnormal p_b
+    ln_c = math.log(
+        params.sigma0_sq * params.q * params.k * params.L / (params.m * params.omega_e)
+    ) - math.log(params.p_b)
+    for level in range(_LEVEL_START, _LEVEL_MAX + 1):
+        step = 2.0**-level
+        j_lo = math.ceil((_W_LO - ln_c) / step)
+        j_hi = math.floor((_W_HI - ln_c) / step)
+        b_lo = j_lo // _BLOCK
+        h = np.concatenate(
+            [
+                _cond_md_block(s0, kl, y, level, b)
+                for b in range(b_lo, j_hi // _BLOCK + 1)
+            ]
+        )[j_lo - b_lo * _BLOCK : j_hi - b_lo * _BLOCK + 1]
+        w = np.arange(j_lo, j_hi + 1) * step + ln_c
+        f = h * np.exp(w - np.exp(w))
+        fine = step * float(f.sum())
+        # the even-j nodes are the grid one level coarser
+        coarse = 2.0 * step * float(f[j_lo % 2 :: 2].sum())
+        if abs(fine - coarse) <= _TRAP_REL_TOL * fine:
+            return min(fine, _shape_table(s0, y).value(0))
+    raise ConvergenceError(
+        f"trapezoid gain average not converged at level {_LEVEL_MAX} "
+        f"(q={params.q}, L={params.L}, k={params.k}, p_b={params.p_b})",
+        partial=fine,
+        terms=f.size,
+    )
 
 
 def _avg_md_series(params: SystemParams, y: float, ctl: SeriesControl) -> float:
@@ -255,9 +292,14 @@ def miss_detection_prob(
 ) -> float:
     """Miss probability averaged over the exponential warden-channel gain.
 
-    method "quadrature" integrates the conditional miss against the gain
-    density; method "series" sums the closed-form mixture whose weights
-    involve the Tricomi U function. Both respect ctl.rel_tol.
+    method "quadrature" (the default) integrates the conditional miss
+    against the gain density by the trapezoid rule in log gain, refining
+    the grid until two successive levels agree to 1e-7 relative (the
+    accepted level is then good to about 1e-13); it raises
+    ConvergenceError, with the last sum as its partial value, if the
+    finest level does not get there. ctl is not used by this route.
+    method "series" sums the closed-form mixture whose weights involve
+    the Tricomi U function, truncated at ctl.rel_tol.
     """
     ctl = ctl or DEFAULT_SERIES_CONTROL
     s2 = params.sigma0_sq
@@ -270,7 +312,7 @@ def miss_detection_prob(
     if params.p_b == 0.0:
         return reg_gamma_lower(params.q * params.L, y)
     if method == "quadrature":
-        return _avg_md_quadrature(params, y, ctl)
+        return _avg_md_quadrature(params, y)
     if method == "series":
         return _avg_md_series(params, y, ctl)
     raise ValueError(f"unknown method {method!r}, expected 'quadrature' or 'series'")

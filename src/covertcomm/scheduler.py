@@ -162,10 +162,21 @@ class OccupancyGrid:
         return _SRC_TAGS[self.source[t, f]]
 
     def rows(self):
-        """Yield (t, f, tag) for every cell, in row-major order."""
-        for t in range(self.p):
-            for f in range(self.q):
-                yield t, f, self.occupant(t, f)
+        """Yield (t, f, tag) for every cell, in row-major order.
+
+        Same tags as occupant(), built one time slot at a time.
+        """
+        user_tags = [f"user{u}" for u in range(self.assignments.shape[1])]
+        for t, (src, slots) in enumerate(
+            zip(self.source.tolist(), self.assignments.tolist())
+        ):
+            tags = [_SRC_TAGS[s] for s in src]
+            # highest-numbered user first, so the lowest one on a slot wins
+            for u in range(len(slots) - 1, -1, -1):
+                if slots[u] >= 0:
+                    tags[slots[u]] = user_tags[u]
+            for f, tag in enumerate(tags):
+                yield t, f, tag
 
 
 def _as_generator(rng) -> np.random.Generator:

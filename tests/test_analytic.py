@@ -8,8 +8,10 @@ transmission probability, and the scaled-E1 rate form.
 
 import math
 
+import numpy as np
 import pytest
 
+from covertcomm import analytic
 from covertcomm.analytic import (
     covert_rate,
     dep,
@@ -19,7 +21,7 @@ from covertcomm.analytic import (
     rtp,
 )
 from covertcomm.params import SystemParams, power_from_snr_db
-from covertcomm.specfun import SeriesControl
+from covertcomm.specfun import ConvergenceError, SeriesControl, reg_gamma_lower
 
 _BASE = SystemParams()  # m=4 k=4 q=64 L=8 unit noise, gamma_e=2
 
@@ -199,3 +201,48 @@ def test_dep_trends_in_snr():
             dep(_BASE.with_(k=k, p_b=power_from_snr_db(s))) for s in snrs
         ]
         assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:])), f"k={k}"
+
+
+# (q, L, k, p_b, dep) at the other defaults, from an independent route:
+# scipy.integrate.quad on 0.5-wide panels in ln g, with the mixture
+# weights from scipy.stats.nbinom.pmf and P from scipy.special.gammainc
+_SWEEP_PINNED = [
+    (8, 2, 8, 1e4, 0.004278472933271104),
+    (8, 8, 1, 1e6, 1.4855810826612634e-4),
+    (64, 2, 64, 1e5, 0.020581019107359388),
+    (64, 8, 32, 1e6, 0.008206000971933072),
+]
+
+
+@pytest.mark.parametrize("q", [8, 64])
+@pytest.mark.parametrize("L", [2, 8])
+def test_quadrature_domain_sweep(q, L):
+    for k in (1, q // 2, q):
+        base = SystemParams(q=q, L=L, k=k)
+        p_top = reg_gamma_lower(q * L, base.effective_threshold / base.sigma0_sq)
+        deps = []
+        for p_b in np.geomspace(1e-6, 1e6, 13):
+            params = base.with_(p_b=float(p_b))
+            fa = false_alarm_prob(params)
+            md = miss_detection_prob(params)
+            assert math.isfinite(fa) and 0.0 <= fa <= 1.0, (k, p_b, fa)
+            assert math.isfinite(md) and 0.0 <= md <= p_top, (k, p_b, md)
+            deps.append(dep(params))
+        # at low power md sits at P(qL, y) up to rounding, so allow a few ulps
+        assert all(b <= a + 1e-15 for a, b in zip(deps, deps[1:])), (k, deps)
+
+
+@pytest.mark.parametrize("q,L,k,p_b,ref", _SWEEP_PINNED)
+def test_quadrature_domain_pinned(q, L, k, p_b, ref):
+    assert dep(SystemParams(q=q, L=L, k=k, p_b=p_b)) == pytest.approx(ref, rel=1e-9)
+
+
+def test_quadrature_raises_when_not_converged(monkeypatch):
+    # kL = 512 at high power needs a finer grid than the first level
+    params = _BASE.with_(k=64, p_b=1e6)
+    want = miss_detection_prob(params)
+    monkeypatch.setattr(analytic, "_LEVEL_MAX", analytic._LEVEL_START)
+    with pytest.raises(ConvergenceError) as err:
+        miss_detection_prob(params)
+    assert err.value.partial == pytest.approx(want, rel=1e-3)
+    assert err.value.terms > 0

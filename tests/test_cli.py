@@ -1,9 +1,11 @@
 """Command-line interface: argument handling, config files, output
 formats, exit codes, and agreement with the library calls it wraps."""
 
+import hashlib
 import json
 import math
 
+import numpy as np
 import pytest
 
 from covertcomm import cli
@@ -11,7 +13,12 @@ from covertcomm.analytic import dep, rtp
 from covertcomm.montecarlo import RngSpec
 from covertcomm.optimizer import MonotonicityError, max_users, optimal_power
 from covertcomm.params import SystemParams, power_from_snr_db
-from covertcomm.scheduler import GREEDY_BELIEF, GridConfig, run_episode
+from covertcomm.scheduler import (
+    GREEDY_BELIEF,
+    GridConfig,
+    run_episode,
+    run_episode_trace,
+)
 
 
 def _run(capsys, *argv):
@@ -151,6 +158,18 @@ def test_power_bounds_columns_nondecreasing_in_k(capsys):
     assert all(a <= b for a, b in zip(ups, ups[1:]))
 
 
+def test_power_bounds_large_k(capsys):
+    code, out, err = _run(
+        capsys, "power-bounds", "--k-range", "36:44", "--p-max", "1e5",
+    )
+    assert code == 0, err
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    assert [int(r[0]) for r in rows] == list(range(36, 45))
+    assert all(math.isfinite(float(v)) for r in rows for v in (r[1], r[2]))
+    ups = [float(r[2]) for r in rows]
+    assert all(a <= b for a, b in zip(ups, ups[1:]))
+
+
 def test_capacity_matches_library(capsys):
     code, out, _ = _run(
         capsys, "capacity", "--snr-db", "10,14", "--eps-u-list", "0.1",
@@ -196,6 +215,38 @@ def test_schedule_stats_and_trace(tmp_path, capsys):
     agg = json.loads(stats_json.read_text())
     assert agg["episodes"] == 2
     assert set(agg["means"]) == set(want.as_dict())
+
+
+_TRACE_SETS = (
+    "q=8", "p=60", "m=2", "users_per_bs=3,2", "jammed_slots=1,5",
+    "external_occupancy_prob=0.3", "shared_control_matrix=false",
+)
+# sha256 of that trace as written by the per-cell occupant() lookup
+_TRACE_SHA256 = "1f69c8077286cfd05cf04d13d4862f5500ed39e3f3d790cd57cf3f1e8684f5e4"
+
+
+def test_schedule_trace_matches_per_cell_occupant(tmp_path, capsys):
+    # independent stations share slots; external traffic and jammers
+    # fill the background
+    trace = tmp_path / "grid.csv"
+    sets = [a for kv in _TRACE_SETS for a in ("--set", kv)]
+    code, _, _ = _run(
+        capsys, "schedule", "--episodes", "1", "--seed", "5",
+        *sets, "--trace", str(trace),
+    )
+    assert code == 0
+    data = trace.read_bytes()
+    assert hashlib.sha256(data).hexdigest() == _TRACE_SHA256
+
+    cfg = cli.load_config(None, list(_TRACE_SETS)).grid_config()
+    _, grid = run_episode_trace(cfg, GREEDY_BELIEF, RngSpec(5, 0))
+    want = ["time_slot,freq_slot,occupant_tag"] + [
+        f"{t},{f},{grid.occupant(t, f)}" for t in range(cfg.p) for f in range(cfg.q)
+    ]
+    assert data.decode() == "\n".join(want) + "\n"
+    assert {"external", "jammer", "free"} <= {line.rsplit(",", 1)[1] for line in want}
+    # some time slot has two users on one slot
+    assert any(len(set(r[r >= 0])) < np.sum(r >= 0) for r in grid.assignments)
 
 
 def test_validate_passes_and_is_deterministic(tmp_path, capsys):

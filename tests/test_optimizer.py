@@ -140,3 +140,14 @@ def test_max_users_grows_with_power_budget():
     hi = max_users(_SMALL, p_max=31.6)
     assert lo.k_star <= hi.k_star
     assert lo.k_star == 2 and hi.k_star == 4
+
+
+def test_max_users_scans_large_k_at_high_budget():
+    # dep stays finite for every k up to q = 64 at this budget, so the
+    # monotonicity screen passes and every k has a covertness boundary
+    res = max_users(_BASE, p_max=1e5)
+    assert len(res.per_k) == _BASE.q
+    ups = [b.p_up for _, b in res.per_k]
+    assert all(math.isfinite(p) for p in ups)
+    assert all(a <= b for a, b in zip(ups, ups[1:]))
+    assert res.k_star == max(k for k, b in res.per_k if b.feasible)

@@ -13,6 +13,7 @@ from covertcomm.scheduler import (
     BeliefState,
     EpisodeStats,
     GridConfig,
+    OccupancyGrid,
     OverloadError,
     _entropy_bits,
     decide,
@@ -256,6 +257,18 @@ def test_trace_grid_tags():
     tags = {tag for _, _, tag in rows}
     assert tags == {"user0", "jammer", "free"}
     assert stats.jammer_hits == 3  # the three slots spent on frequency 0
+
+
+def test_grid_rows_match_occupant():
+    # several users per slot, idle users, and every background tag
+    rng = np.random.default_rng(3)
+    grid = OccupancyGrid(q=6, p=40, n_users=5)
+    grid.source[:] = rng.integers(0, 3, size=grid.source.shape)
+    grid.assignments[:] = rng.integers(-1, 6, size=grid.assignments.shape)
+    want = [(t, f, grid.occupant(t, f)) for t in range(40) for f in range(6)]
+    assert list(grid.rows()) == want
+    assert any(len(set(r[r >= 0])) < np.sum(r >= 0) for r in grid.assignments)
+    assert {"free", "jammer", "external"} <= {tag for _, _, tag in want}
 
 
 def test_stats_fields_round_trip():
