@@ -25,14 +25,18 @@ are kept separate so they can cross-check each other:
 - "series" turns each mixture weight, averaged over the gain, into
   c (kL)_n U(n+1, 2-kL, c) with the Tricomi U function and sums the
   resulting series under a SeriesControl.
+
+Both routes and the conditional miss read P(qL + n, y) from scipy's
+gammainc in cached blocks of consecutive n, so a sum that stops after a
+few terms (a conditional miss at high power) builds one block, not the
+millions of shapes a threshold far above qL would need.
 """
 
 import functools
 import math
-import threading
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import gammainc, gammaln
 
 from .params import SystemParams
 from .specfun import (
@@ -47,77 +51,21 @@ from .specfun import (
 )
 
 _LN2 = math.log(2.0)
-_DEAD = 1e-320  # entries below this are numerically zero
+_SHAPE_BLOCK = 256  # shapes per cached block of the gamma shape table
+_SHAPE_CAP = 2_000_000  # most shapes _log_mixture_coeffs builds
 
 
-class _GammaShapeTable:
-    """Memo of P(s0 + n, y) for n = 0, 1, 2, ... at fixed y.
-
-    P is strictly decreasing in the shape argument, so once an entry
-    falls below the floor every later entry would too; growth stops
-    there and value() reports 0.0 beyond that point. Instances are
-    shared across threads, hence the lock around growth.
-    """
-
-    __slots__ = ("s0", "y", "_vals", "_dead", "_lock")
-
-    _GROW = 256
-    _HARD_CAP = 2_000_000
-
-    def __init__(self, s0: float, y: float):
-        self.s0 = s0
-        self.y = y
-        self._vals: list[float] = []
-        self._dead = False
-        self._lock = threading.Lock()
-
-    def _grow_to(self, n: int) -> None:
-        with self._lock:
-            while len(self._vals) <= n and not self._dead:
-                if len(self._vals) >= self._HARD_CAP:
-                    raise ConvergenceError(
-                        f"gamma shape table exceeded {self._HARD_CAP} entries "
-                        f"(s0={self.s0}, y={self.y})"
-                    )
-                stop = len(self._vals) + self._GROW
-                while len(self._vals) < stop:
-                    v = reg_gamma_lower(self.s0 + len(self._vals), self.y)
-                    self._vals.append(v)
-                    if v < _DEAD:
-                        self._dead = True
-                        break
-
-    def value(self, n: int) -> float:
-        if n >= len(self._vals):
-            if self._dead:
-                return 0.0
-            self._grow_to(n)
-            if n >= len(self._vals):
-                return 0.0
-        return self._vals[n]
-
-    def alive_prefix(self) -> np.ndarray:
-        """All entries down to the numerical floor, as an array."""
-        while not self._dead:
-            self._grow_to(len(self._vals) + self._GROW)
-        return np.asarray(self._vals, dtype=float)
+@functools.lru_cache(maxsize=1024)
+def _shape_block(s0: float, y: float, block: int) -> np.ndarray:
+    """P(s0 + n, y) for the n of one block of _SHAPE_BLOCK shapes."""
+    n = np.arange(block * _SHAPE_BLOCK, (block + 1) * _SHAPE_BLOCK)
+    vals = gammainc(s0 + n, y)
+    vals.flags.writeable = False
+    return vals
 
 
-_tables: dict[tuple[float, float], _GammaShapeTable] = {}
-_tables_lock = threading.Lock()
-_TABLE_CACHE_MAX = 16
-
-
-def _shape_table(s0: float, y: float) -> _GammaShapeTable:
-    key = (s0, y)
-    with _tables_lock:
-        tab = _tables.get(key)
-        if tab is None:
-            if len(_tables) >= _TABLE_CACHE_MAX:
-                _tables.pop(next(iter(_tables)))
-            tab = _GammaShapeTable(s0, y)
-            _tables[key] = tab
-        return tab
+def _shape(s0: float, y: float, n: int) -> float:
+    return float(_shape_block(s0, y, n // _SHAPE_BLOCK)[n % _SHAPE_BLOCK])
 
 
 def false_alarm_prob(params: SystemParams) -> float:
@@ -148,10 +96,9 @@ def miss_detection_conditional(
     if y == 0.0:
         return 0.0
     s0 = float(params.q * params.L)
-    table = _shape_table(s0, y)
     rg = params.rho * g
     if rg == 0.0:
-        return table.value(0)
+        return _shape(s0, y, 0)
     x = rg / (rg + s2)
     kl = float(params.k * params.L)
     lt0 = kl * math.log1p(-x)
@@ -161,12 +108,12 @@ def miss_detection_conditional(
         return 0.0
     t = math.exp(lt0)
     mass = t
-    total = t * table.value(0)
+    total = t * _shape(s0, y, 0)
     for n in range(1, ctl.max_terms):
         t *= x * (kl + n - 1.0) / n
         mass += t
-        total += t * table.value(n)
-        bound = max(1.0 - mass, 0.0) * table.value(n + 1)
+        total += t * _shape(s0, y, n)
+        bound = max(1.0 - mass, 0.0) * _shape(s0, y, n + 1)
         if bound <= ctl.rel_tol * total + 1e-300:
             return total
     raise ConvergenceError(
@@ -189,9 +136,20 @@ _P_FLOOR = 1e-30
 @functools.lru_cache(maxsize=64)
 def _log_mixture_coeffs(s0: float, kl: float, y: float) -> np.ndarray:
     """log((kL)_n / n!) + log P(qL + n, y) for every n with P >= _P_FLOOR."""
-    pvals = _shape_table(s0, y).alive_prefix()
-    # P decreases in n, so the kept entries are a prefix
-    pvals = pvals[: np.count_nonzero(pvals >= _P_FLOOR)]
+    # P decreases in n, so the kept entries are a prefix: add blocks until
+    # one ends below the floor
+    blocks = []
+    for block in range(_SHAPE_CAP // _SHAPE_BLOCK):
+        blocks.append(_shape_block(s0, y, block))
+        if blocks[-1][-1] < _P_FLOOR:
+            break
+    else:
+        raise ConvergenceError(
+            f"gamma shape table needs more than {len(blocks) * _SHAPE_BLOCK} "
+            f"entries (s0={s0}, y={y})"
+        )
+    pvals = np.concatenate(blocks)
+    pvals = pvals[: np.argmax(pvals < _P_FLOOR)]
     n = np.arange(pvals.size, dtype=float)
     coeffs = gammaln(kl + n) - gammaln(kl) - gammaln(n + 1.0) + np.log(pvals)
     coeffs.flags.writeable = False
@@ -254,7 +212,7 @@ def _avg_md_quadrature(params: SystemParams, y: float) -> float:
         # the even-j nodes are the grid one level coarser
         coarse = 2.0 * step * float(f[j_lo % 2 :: 2].sum())
         if abs(fine - coarse) <= _TRAP_REL_TOL * fine:
-            return min(fine, _shape_table(s0, y).value(0))
+            return min(fine, _shape(s0, y, 0))
     raise ConvergenceError(
         f"trapezoid gain average not converged at level {_LEVEL_MAX} "
         f"(q={params.q}, L={params.L}, k={params.k}, p_b={params.p_b})",
@@ -267,7 +225,6 @@ def _avg_md_series(params: SystemParams, y: float, ctl: SeriesControl) -> float:
     s2 = params.sigma0_sq
     s0 = float(params.q * params.L)
     kl = float(params.k * params.L)
-    table = _shape_table(s0, y)
     c = s2 / (params.rho * params.omega_e)
     lc = math.log(c)
     total = 0.0
@@ -276,8 +233,8 @@ def _avg_md_series(params: SystemParams, y: float, ctl: SeriesControl) -> float:
         lw = lc + log_pochhammer(kl, n) + log_tricomi_u(n + 1.0, 2.0 - kl, c)
         w = math.exp(lw) if lw > -745.0 else 0.0
         mass += w
-        total += w * table.value(n)
-        bound = max(1.0 - mass, 0.0) * table.value(n + 1)
+        total += w * _shape(s0, y, n)
+        bound = max(1.0 - mass, 0.0) * _shape(s0, y, n + 1)
         if n >= 1 and bound <= ctl.rel_tol * total + 1e-300:
             return total
     raise ConvergenceError(

@@ -203,134 +203,107 @@ def _report_failed_row(inputs: dict, err: Exception) -> None:
     print(f"row {where} failed: {type(err).__name__}: {err}", file=sys.stderr)
 
 
-def _cmd_dep(args) -> int:
-    cfg = load_config(args.config, args.set)
-    base = cfg.system_params()
+def _sweep(args, points, compute, columns, failed_cells=None) -> int:
+    """Render one row per point and return the exit code.
+
+    compute(stream, **inputs) returns a row's output cells; stream is the
+    row index, so a row's Monte Carlo draws do not depend on which rows
+    failed before it. A row whose compute raises says why on stderr,
+    gets NaN (or its failed_cells) for its outputs, and makes the exit
+    code 1.
+    """
+    rows = []
+    failed = False
+    for stream, inputs in enumerate(points):
+        row = {**dict.fromkeys(columns, _NAN_ROW), **inputs}
+        try:
+            row.update(compute(stream, **inputs))
+        except (ValueError, ConvergenceError, optimizer.MonotonicityError) as err:
+            _report_failed_row(inputs, err)
+            row.update(failed_cells or {})
+            failed = True
+        rows.append(row)
+    _emit(_render(rows, columns, args.format), args.out)
+    return 1 if failed else 0
+
+
+def _snr_k_sweep(args, compute, columns) -> int:
+    # dep and rtp: compute(params, rng) at each (k, snr) point, with the
+    # row's own Monte Carlo stream
+    base = load_config(args.config, args.set).system_params()
     snrs = _parse_float_grid(args.snr_db)
     k_list = _parse_int_list(args.k_list)
     montecarlo._check_trials(args.trials)
-    rows = []
-    failed = False
-    stream = 0
-    for k in k_list:
-        for snr in snrs:
-            row = {"snr_db": snr, "k": k}
-            try:
-                params = base.with_(
-                    k=k, p_b=power_from_snr_db(snr, base.sigma0_sq)
-                )
-                fa, md = montecarlo.simulate_detector(
-                    params, args.trials, montecarlo.RngSpec(args.seed, stream)
-                )
-                row["dep_analytic"] = analytic.dep(params)
-                row["dep_mc_mean"] = fa.mean + md.mean
-                row["dep_mc_se"] = math.hypot(fa.std_error, md.std_error)
-            except (ValueError, ConvergenceError) as err:
-                _report_failed_row(row, err)
-                row["dep_analytic"] = _NAN_ROW
-                row["dep_mc_mean"] = _NAN_ROW
-                row["dep_mc_se"] = _NAN_ROW
-                failed = True
-            rows.append(row)
-            stream += 1
-    cols = ["snr_db", "k", "dep_analytic", "dep_mc_mean", "dep_mc_se"]
-    _emit(_render(rows, cols, args.format), args.out)
-    return 1 if failed else 0
+
+    def row(stream, snr_db, k):
+        params = base.with_(k=k, p_b=power_from_snr_db(snr_db, base.sigma0_sq))
+        return compute(params, montecarlo.RngSpec(args.seed, stream))
+
+    points = [{"snr_db": snr, "k": k} for k in k_list for snr in snrs]
+    return _sweep(args, points, row, ["snr_db", "k", *columns])
+
+
+def _cmd_dep(args) -> int:
+    def compute(params, rng):
+        fa, md = montecarlo.simulate_detector(params, args.trials, rng)
+        return {
+            "dep_analytic": analytic.dep(params),
+            "dep_mc_mean": fa.mean + md.mean,
+            "dep_mc_se": math.hypot(fa.std_error, md.std_error),
+        }
+
+    return _snr_k_sweep(args, compute, ["dep_analytic", "dep_mc_mean", "dep_mc_se"])
 
 
 def _cmd_rtp(args) -> int:
-    cfg = load_config(args.config, args.set)
-    base = cfg.system_params()
-    snrs = _parse_float_grid(args.snr_db)
-    k_list = _parse_int_list(args.k_list)
-    montecarlo._check_trials(args.trials)
-    rows = []
-    failed = False
-    stream = 0
-    for k in k_list:
-        for snr in snrs:
-            row = {"snr_db": snr, "k": k}
-            try:
-                params = base.with_(
-                    k=k, p_b=power_from_snr_db(snr, base.sigma0_sq)
-                )
-                est = montecarlo.simulate_rtp(
-                    params, args.trials, montecarlo.RngSpec(args.seed, stream)
-                )
-                row["rtp_analytic"] = analytic.rtp(params)
-                row["rtp_mc_mean"] = est.mean
-                row["rtp_mc_se"] = est.std_error
-            except (ValueError, ConvergenceError) as err:
-                _report_failed_row(row, err)
-                row["rtp_analytic"] = _NAN_ROW
-                row["rtp_mc_mean"] = _NAN_ROW
-                row["rtp_mc_se"] = _NAN_ROW
-                failed = True
-            rows.append(row)
-            stream += 1
-    cols = ["snr_db", "k", "rtp_analytic", "rtp_mc_mean", "rtp_mc_se"]
-    _emit(_render(rows, cols, args.format), args.out)
-    return 1 if failed else 0
+    def compute(params, rng):
+        est = montecarlo.simulate_rtp(params, args.trials, rng)
+        return {
+            "rtp_analytic": analytic.rtp(params),
+            "rtp_mc_mean": est.mean,
+            "rtp_mc_se": est.std_error,
+        }
+
+    return _snr_k_sweep(args, compute, ["rtp_analytic", "rtp_mc_mean", "rtp_mc_se"])
 
 
 def _cmd_power_bounds(args) -> int:
-    cfg = load_config(args.config, args.set)
-    base = cfg.system_params()
-    k_list = _parse_int_list(args.k_range)
-    rows = []
-    failed = False
-    for k in k_list:
-        row = {"k": k}
-        try:
-            result = optimizer.optimal_power(
-                base.with_(k=k), args.p_min, args.p_max, args.tol
-            )
-            b = result.bounds
-            row["p_low"] = b.p_low
-            row["p_up"] = b.p_up
-            row["feasible"] = b.feasible
-            row["p_star"] = result.p_star if result.p_star is not None else _NAN_ROW
-            row["rate_star"] = (
+    base = load_config(args.config, args.set).system_params()
+    points = [{"k": k} for k in _parse_int_list(args.k_range)]
+
+    def compute(stream, k):
+        result = optimizer.optimal_power(
+            base.with_(k=k), args.p_min, args.p_max, args.tol
+        )
+        b = result.bounds
+        return {
+            "p_low": b.p_low,
+            "p_up": b.p_up,
+            "feasible": b.feasible,
+            "p_star": result.p_star if result.p_star is not None else _NAN_ROW,
+            "rate_star": (
                 result.rate_star if result.rate_star is not None else _NAN_ROW
-            )
-        except (ValueError, ConvergenceError, optimizer.MonotonicityError) as err:
-            _report_failed_row(row, err)
-            row.update(
-                p_low=_NAN_ROW, p_up=_NAN_ROW, feasible=False,
-                p_star=_NAN_ROW, rate_star=_NAN_ROW,
-            )
-            failed = True
-        rows.append(row)
+            ),
+        }
+
     cols = ["k", "p_low", "p_up", "feasible", "p_star", "rate_star"]
-    _emit(_render(rows, cols, args.format), args.out)
-    return 1 if failed else 0
+    return _sweep(args, points, compute, cols, {"feasible": False})
 
 
 def _cmd_capacity(args) -> int:
-    cfg = load_config(args.config, args.set)
-    base = cfg.system_params()
+    base = load_config(args.config, args.set).system_params()
     snrs = _parse_float_grid(args.snr_db)
     eps_list = [float(part) for part in args.eps_u_list.split(",")]
-    rows = []
-    failed = False
-    for eps_u in eps_list:
-        for snr in snrs:
-            row = {"snr_db": snr, "eps_u": eps_u}
-            try:
-                template = base.with_(eps_u=eps_u)
-                p_max = power_from_snr_db(snr, base.sigma0_sq)
-                result = optimizer.max_users(
-                    template, args.p_min, p_max, args.tol
-                )
-                row["k_star"] = result.k_star
-            except (ValueError, ConvergenceError, optimizer.MonotonicityError) as err:
-                _report_failed_row(row, err)
-                row["k_star"] = _NAN_ROW
-                failed = True
-            rows.append(row)
-    cols = ["snr_db", "eps_u", "k_star"]
-    _emit(_render(rows, cols, args.format), args.out)
-    return 1 if failed else 0
+    points = [{"snr_db": snr, "eps_u": eps_u} for eps_u in eps_list for snr in snrs]
+
+    def compute(stream, snr_db, eps_u):
+        template = base.with_(eps_u=eps_u)
+        p_max = power_from_snr_db(snr_db, base.sigma0_sq)
+        return {
+            "k_star": optimizer.max_users(template, args.p_min, p_max, args.tol).k_star
+        }
+
+    return _sweep(args, points, compute, ["snr_db", "eps_u", "k_star"])
 
 
 # ---------------------------------------------------------------------------

@@ -56,13 +56,6 @@ class SeriesControl:
 DEFAULT_SERIES_CONTROL = SeriesControl()
 
 
-def ln_gamma(x: float) -> float:
-    """Natural log of the gamma function for x > 0."""
-    if not x > 0.0 or math.isnan(x):
-        raise ValueError(f"ln_gamma requires x > 0, got {x!r}")
-    return math.lgamma(x)
-
-
 def log_pochhammer(a: float, n: int) -> float:
     """log of the rising factorial (a)_n = a (a+1) ... (a+n-1), a > 0."""
     if not a > 0.0:
@@ -205,9 +198,11 @@ def log_tricomi_u(a: float, b: float, z: float, ctl: SeriesControl | None = None
         U(a, b, z) = (1 / Gamma(a)) * int_0^inf t^(a-1) (1+t)^(b-a-1) e^(-zt) dt
 
     valid for a > 0, z > 0 and any real b (including the non-positive
-    integers where no series representation exists). The integrand is
-    rescaled by its peak value before quadrature so the result stays
-    finite even when U itself would overflow or underflow a double.
+    integers where no series representation exists), after the Kummer
+    transformation U(a, b, z) = z^(1-b) U(a-b+1, 2-b, z) (DLMF 13.2.40)
+    for b < 1. The integrand is rescaled by its peak value before
+    quadrature so the result stays finite even when U itself would
+    overflow or underflow a double.
     """
     if a == 0.0:
         return 0.0  # U(0, b, z) = 1: the defining series terminates at n = 0
@@ -215,6 +210,14 @@ def log_tricomi_u(a: float, b: float, z: float, ctl: SeriesControl | None = None
         raise ValueError(f"tricomi U integral form requires a >= 0, got {a!r}")
     if not z > 0.0:
         raise ValueError(f"tricomi U requires z > 0, got {z!r}")
+
+    # For b < 1 the factor (1+t)^(b-a-1) can decay on a scale far narrower
+    # than the 1/z the split below assumes, and quad then steps over the
+    # peak; after the transformation b > 1 and e^(-zt) sets the scale
+    log_scale = 0.0
+    if b < 1.0:
+        log_scale = (1.0 - b) * math.log(z)
+        a, b = a - b + 1.0, 2.0 - b
 
     tpk = _u_peak(a, b, z)
     if a >= 1.0:
@@ -238,7 +241,7 @@ def log_tricomi_u(a: float, b: float, z: float, ctl: SeriesControl | None = None
         split = t0 + 40.0 * width
         bulk = _checked_quad(scaled, 0.0, split, points=[t0] if 0.0 < t0 < split else None)
         tail = _checked_quad(scaled, split, math.inf)
-        return -math.lgamma(a) + phimax + math.log(bulk + tail)
+        return log_scale - math.lgamma(a) + phimax + math.log(bulk + tail)
 
     # 0 < a < 1: integrable singularity at t=0. Substituting t = u^(1/a)
     # on [0, 1] gives a bounded integrand; the rest is regular.
@@ -264,7 +267,7 @@ def log_tricomi_u(a: float, b: float, z: float, ctl: SeriesControl | None = None
     lhead = math.log(head) if head > 0.0 else -math.inf
     lrest = phimax + math.log(rest) if rest > 0.0 else -math.inf
     top = max(lhead, lrest)
-    return -math.lgamma(a) + top + math.log(
+    return log_scale - math.lgamma(a) + top + math.log(
         math.exp(lhead - top) + math.exp(lrest - top)
     )
 

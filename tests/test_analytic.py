@@ -8,6 +8,7 @@ transmission probability, and the scaled-E1 rate form.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -246,3 +247,53 @@ def test_quadrature_raises_when_not_converged(monkeypatch):
         miss_detection_prob(params)
     assert err.value.partial == pytest.approx(want, rel=1e-3)
     assert err.value.terms > 0
+
+
+@pytest.mark.parametrize("q,L,k", [
+    (64, 8, 1), (64, 8, 32), (64, 8, 64), (8, 2, 1), (8, 2, 4), (8, 2, 8),
+])
+def test_series_matches_quadrature_over_domain(q, L, k):
+    compared = 0
+    for snr in (30.0, 40.0, 47.0, 50.0, 60.0):
+        params = SystemParams(q=q, L=L, k=k, p_b=power_from_snr_db(snr))
+        vals = []
+        for method in ("series", "quadrature"):
+            try:
+                vals.append(miss_detection_prob(params, method))
+            except ConvergenceError:
+                pass  # a route that misses its tolerance must say so
+        if len(vals) == 2:
+            series, quad = vals
+            assert abs(series - quad) <= 1e-8 * quad, (snr, series, quad)
+            compared += 1
+    # the series route raises at q=8, L=2, 60 dB for k in {1, 4}, where
+    # the quadrature check inside its Tricomi U calls fires
+    assert compared >= 4
+
+
+def test_conditional_miss_reads_only_the_shapes_it_needs():
+    # y = 5.12e6 would need millions of shapes before P(qL + n, y) falls,
+    # but at g = 1 the certified sum stops after a few terms; the mixture
+    # is 1 to double precision and this is its partial sum at rel_tol 1e-12
+    params = SystemParams(gamma_e=1e4, p_b=1e4)
+    assert abs(miss_detection_conditional(params, 1.0) - 0.999999999999028) <= 1e-13
+
+
+def test_shape_table_cap_raises():
+    # the gain average needs the whole table down to P = 1e-30: too long here
+    with pytest.raises(ConvergenceError, match="gamma shape table"):
+        dep(SystemParams(gamma_e=1e4, p_b=1e4))
+
+
+@pytest.mark.parametrize("s0", [16.0, 512.0, 4096.0])
+def test_shape_table_against_mpmath(s0):
+    y = 2.0 * s0  # the default threshold, gamma_e = 2
+    checked = 0
+    with mpmath.workdps(40):
+        for n in (0, 1, 7, 255, 256, 257, 600, 1000, 2049, 5000):
+            want = mpmath.gammainc(s0 + n, 0, y, regularized=True)
+            if want >= 1e-300:
+                got = analytic._shape(s0, y, n)
+                assert abs(got - want) <= 1e-11 * want, (n, got, want)
+                checked += 1
+    assert checked >= 4

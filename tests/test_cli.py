@@ -330,6 +330,41 @@ def test_failed_rows_say_why(capsys, monkeypatch):
     ]
 
 
+# small sweeps of the four commands, then a failed row for each of them;
+# sha256 of json.dumps([exit code, stdout, stderr]) as written before the
+# commands shared one sweep driver (CSV, so float reprs do not enter)
+_SWEEP_PINS = (
+    (("dep", "--snr-db", "30:44:3", "--k-list", "1,4", "--trials", "500",
+      "--seed", "7"), "93f5c404045e4208c608fcabbeaeacbcfa3a782d1845f30df1a2f54d9232d1d0"),
+    (("rtp", "--snr-db", "0:6:3", "--k-list", "4,8", "--trials", "500",
+      "--seed", "7"), "23d00b90549db69006ed2d368d7291c6ea9e6e683f8a93eee0f3193ddd1d4d4d"),
+    (("power-bounds", "--k-range", "1:3", "--p-max", "1e5"),
+     "d1a4d80d4904bdfdf3ea26219c413e3a62aa8b593b23d8942ae4ed7a3f8013fa"),
+    (("capacity", "--snr-db", "10,14", "--eps-u-list", "0.05,0.1",
+      "--set", "q=8", "--set", "L=2", "--set", "m=2"),
+     "aaaaf45d525d862b7729e755e210cf64f8d8b2d4ff0c867ba761415d1cc58ae7"),
+    (("dep", "--snr-db", "37", "--k-list", "4,65", "--trials", "500"),
+     "be029596c9554cc5afa2d5c6a4c3ee7041c4d0b9265bf318c41b52566d92b5a0"),
+    (("rtp", "--snr-db", "0", "--k-list", "65,4", "--trials", "500"),
+     "060e121fdf33581d60826ee8cfad1693cbd54453660ecf849670b3b67028c241"),
+    (("power-bounds", "--k-range", "1:2", "--p-min", "10", "--p-max", "1"),
+     "2776b16d4c9bc8004955c6859f1d00bd6738142b9cfead71fd9b7d3e6e295fa3"),
+    (("capacity", "--snr-db", "10", "--eps-u-list", "0.1,2",
+      "--set", "q=8", "--set", "L=2", "--set", "m=2"),
+     "70efa154288d568a0341b4dcbcfd925a5effaf947b5325bad6083208e7e97c5a"),
+)
+
+
+@pytest.mark.parametrize(
+    "argv, digest", _SWEEP_PINS,
+    ids=[f"{argv[0]}-{i}" for i, (argv, _) in enumerate(_SWEEP_PINS)],
+)
+def test_sweep_output_pinned(capsys, argv, digest):
+    code, out, err = _run(capsys, *argv)
+    blob = json.dumps([code, out, err]).encode()
+    assert hashlib.sha256(blob).hexdigest() == digest, (code, out, err)
+
+
 def test_nan_cell_renders_as_nan():
     assert cli._fmt_cell(float("nan")) == "nan"
     assert cli._fmt_cell(True) == "true"

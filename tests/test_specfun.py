@@ -7,6 +7,7 @@ algorithms, not the references.
 
 import math
 
+import mpmath
 import pytest
 
 from covertcomm.specfun import (
@@ -142,6 +143,17 @@ def test_tricomi_against_reference(a, b, z, ref):
 @pytest.mark.parametrize("a,b,z,ref", _LOG_TRICOMI_CASES)
 def test_log_tricomi_against_reference(a, b, z, ref):
     assert abs(log_tricomi_u(a, b, z) - ref) <= 1e-9 * abs(ref)
+
+
+@pytest.mark.parametrize("a", [0.3, 1.0, 2.0, 3.0, 5.0, 8.0, 20.0])
+@pytest.mark.parametrize("b", [-510.0, -63.0, -30.0, -6.0, 0.0, 0.5, 2.0])
+def test_log_tricomi_against_mpmath_grid(a, b):
+    # b = 2 - kL and the small z of the series miss route at high power
+    with mpmath.workdps(40):
+        for z in (1e-3, 0.0204, 0.3, 3.0, 10.0):
+            want = mpmath.log(mpmath.hyperu(a, b, z))
+            err = abs(mpmath.expm1(log_tricomi_u(a, b, z) - want))
+            assert err <= 1e-10, (z, float(err))
 
 
 def test_tricomi_edges():
