@@ -29,7 +29,9 @@ are kept separate so they can cross-check each other:
 Both routes and the conditional miss read P(qL + n, y) from scipy's
 gammainc in cached blocks of consecutive n, so a sum that stops after a
 few terms (a conditional miss at high power) builds one block, not the
-millions of shapes a threshold far above qL would need.
+millions of shapes a threshold far above qL would need. The false alarm
+does not depend on p_b either, so it is cached per (qL, y): a solver
+that tries many powers at one threshold computes it once.
 """
 
 import functools
@@ -68,14 +70,21 @@ def _shape(s0: float, y: float, n: int) -> float:
     return float(_shape_block(s0, y, n // _SHAPE_BLOCK)[n % _SHAPE_BLOCK])
 
 
+@functools.lru_cache(maxsize=256)
+def _false_alarm(s0: int, y: float) -> float:
+    return reg_gamma_upper(s0, y)
+
+
 def false_alarm_prob(params: SystemParams) -> float:
     """Probability the energy detector fires on noise alone.
 
     The noise-only statistic is Gamma(qL, sigma0_sq), so this is the
     regularized upper incomplete gamma at the threshold in noise units.
+    It does not depend on p_b, so it is cached per (qL, y) for the
+    solvers, which call dep at many powers and one threshold.
     """
     y = params.effective_threshold / params.sigma0_sq
-    return reg_gamma_upper(params.q * params.L, y)
+    return _false_alarm(params.q * params.L, y)
 
 
 def miss_detection_conditional(
@@ -131,6 +140,8 @@ _BLOCK = 128  # trapezoid nodes per cached block of conditional miss values
 _TRAP_REL_TOL = 1e-7
 # a mixture term with P below this adds less than it (the weights sum to <= 1)
 _P_FLOOR = 1e-30
+# mixture terms with a lower exponent (below about 1e-304) are dropped
+_LOG_EXP_MIN = -700.0
 
 
 @functools.lru_cache(maxsize=64)
@@ -164,6 +175,20 @@ def _cond_md_block(
 
     z = ln(rho g / sigma0_sq), so x = logistic(z) and every mixture term
     is one exp of a log-space sum; nothing is multiplied out.
+
+    The exponent matrix is built in place, starting from the outer
+    product n log x: adding a (B, 1) column to a (B, N) matrix in one
+    broadcast expression is several times slower. The sums run in the
+    order (n log x + kL log(1-x)) + log coefficient, which rounds exactly
+    as kL log(1-x) + n log x + log coefficient does, since floating-point
+    addition commutes; adding the coefficients before the kL log(1-x)
+    column would move h in its last digits. Exponents below -700 are
+    clamped before exp and their terms set to 0 after it: exp of a lower
+    value is subnormal or 0, and numpy leaves its vectorised exp for it
+    (tens of times slower on blocks at large kL). Each dropped term is
+    below 1e-304, far under the 1e-30 the table floor already gives away.
+    The column skip stays at -745: it decides which columns enter the row
+    sums, and numpy's pairwise summation then groups them differently.
     """
     coeffs = _log_mixture_coeffs(s0, kl, y)
     z = np.arange(block * _BLOCK, (block + 1) * _BLOCK) * 2.0**-level
@@ -175,9 +200,15 @@ def _cond_md_block(
     live = np.flatnonzero(bound > -745.0)
     h = np.zeros(_BLOCK)
     if live.size:
-        n = np.arange(live[0], live[-1] + 1)
-        expo = kl * log_1mx[:, None] + log_x[:, None] * n + coeffs[n]
-        h = np.exp(expo, out=expo).sum(axis=1)
+        lo, hi = live[0], live[-1] + 1
+        expo = np.multiply.outer(log_x, np.arange(lo, hi, dtype=float))
+        expo += (kl * log_1mx)[:, None]
+        expo += coeffs[lo:hi]
+        dead = expo < _LOG_EXP_MIN
+        np.maximum(expo, _LOG_EXP_MIN, out=expo)
+        np.exp(expo, out=expo)
+        expo[dead] = 0.0
+        h = expo.sum(axis=1)
     h.flags.writeable = False
     return h
 

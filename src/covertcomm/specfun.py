@@ -177,17 +177,21 @@ def _u_peak(a: float, b: float, z: float) -> float | None:
     return t if t > 0.0 else None
 
 
-def _checked_quad(fn, lo, hi, points=None) -> float:
+def _quad(fn, lo, hi, points=None) -> tuple[float, float]:
+    # (value, error estimate); the caller checks the error of its whole sum
+    # with _check_quad, so a negligible piece is not held to its own size
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IntegrationWarning)
-        val, err = integrate.quad(
+        return integrate.quad(
             fn, lo, hi, points=points, limit=300, epsabs=1e-280, epsrel=1e-11
         )
+
+
+def _check_quad(val: float, err: float) -> None:
     if err > max(abs(val) * 1e-7, 1e-270):
         raise ConvergenceError(
             f"quadrature error {err:g} too large for integral value {val:g}"
         )
-    return val
 
 
 def log_tricomi_u(a: float, b: float, z: float, ctl: SeriesControl | None = None) -> float:
@@ -239,8 +243,9 @@ def log_tricomi_u(a: float, b: float, z: float, ctl: SeriesControl | None = None
             if curv < 0.0:
                 width = max(width, 1.0 / math.sqrt(-curv))
         split = t0 + 40.0 * width
-        bulk = _checked_quad(scaled, 0.0, split, points=[t0] if 0.0 < t0 < split else None)
-        tail = _checked_quad(scaled, split, math.inf)
+        bulk, bulk_err = _quad(scaled, 0.0, split, points=[t0] if 0.0 < t0 < split else None)
+        tail, tail_err = _quad(scaled, split, math.inf)
+        _check_quad(bulk + tail, bulk_err + tail_err)
         return log_scale - math.lgamma(a) + phimax + math.log(bulk + tail)
 
     # 0 < a < 1: integrable singularity at t=0. Substituting t = u^(1/a)
@@ -254,7 +259,7 @@ def log_tricomi_u(a: float, b: float, z: float, ctl: SeriesControl | None = None
         lg = -z * t + (b - a - 1.0) * math.log1p(t)
         return inv_a * math.exp(lg) if lg > _LOG_TINY else 0.0
 
-    head = _checked_quad(desing, 0.0, 1.0)
+    head, head_err = _quad(desing, 0.0, 1.0)
     phimax = _u_phi(a, b, z, 1.0)
     if tpk is not None and tpk > 1.0:
         phimax = max(phimax, _u_phi(a, b, z, tpk))
@@ -263,13 +268,15 @@ def log_tricomi_u(a: float, b: float, z: float, ctl: SeriesControl | None = None
         lg = _u_phi(a, b, z, t) - phimax
         return math.exp(lg) if lg > _LOG_TINY else 0.0
 
-    rest = _checked_quad(scaled_tail, 1.0, math.inf)
+    rest, rest_err = _quad(scaled_tail, 1.0, math.inf)
     lhead = math.log(head) if head > 0.0 else -math.inf
     lrest = phimax + math.log(rest) if rest > 0.0 else -math.inf
     top = max(lhead, lrest)
-    return log_scale - math.lgamma(a) + top + math.log(
-        math.exp(lhead - top) + math.exp(lrest - top)
-    )
+    # head is in natural units and rest in units of e^phimax: check the
+    # summed error against the sum, both in units of e^top
+    total = math.exp(lhead - top) + math.exp(lrest - top)
+    _check_quad(total, head_err * math.exp(-top) + rest_err * math.exp(phimax - top))
+    return log_scale - math.lgamma(a) + top + math.log(total)
 
 
 def tricomi_u(a: float, b: float, z: float, ctl: SeriesControl | None = None) -> float:
