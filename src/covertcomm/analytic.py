@@ -46,7 +46,6 @@ from .specfun import (
     ConvergenceError,
     SeriesControl,
     exp_e1_scaled,
-    log_pochhammer,
     log_tricomi_u,
     reg_gamma_lower,
     reg_gamma_upper,
@@ -261,7 +260,8 @@ def _avg_md_series(params: SystemParams, y: float, ctl: SeriesControl) -> float:
     total = 0.0
     mass = 0.0
     for n in range(ctl.max_terms):
-        lw = lc + log_pochhammer(kl, n) + log_tricomi_u(n + 1.0, 2.0 - kl, c)
+        # log c + log (kL)_n + log U(n+1, 2-kL, c); regrouping moves the last bits
+        lw = lc + (math.lgamma(kl + n) - math.lgamma(kl)) + log_tricomi_u(n + 1.0, 2.0 - kl, c)
         w = math.exp(lw) if lw > -745.0 else 0.0
         mass += w
         total += w * _shape(s0, y, n)

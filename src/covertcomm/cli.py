@@ -576,17 +576,14 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("dep", parents=[common],
-                       help="detection error probability sweep")
-    p.add_argument("--snr-db", default="-10:10:11", help="grid lo:hi:n or list")
-    p.add_argument("--k-list", default="4,8,16", help="active user counts")
-    p.set_defaults(fn=_cmd_dep)
-
-    p = sub.add_parser("rtp", parents=[common],
-                       help="reliable transmission probability sweep")
-    p.add_argument("--snr-db", default="-10:10:11", help="grid lo:hi:n or list")
-    p.add_argument("--k-list", default="4,8,16", help="active user counts")
-    p.set_defaults(fn=_cmd_rtp)
+    for name, fn, what in (
+        ("dep", _cmd_dep, "detection error"),
+        ("rtp", _cmd_rtp, "reliable transmission"),
+    ):
+        p = sub.add_parser(name, parents=[common], help=f"{what} probability sweep")
+        p.add_argument("--snr-db", default="-10:10:11", help="grid lo:hi:n or list")
+        p.add_argument("--k-list", default="4,8,16", help="active user counts")
+        p.set_defaults(fn=fn)
 
     p = sub.add_parser("power-bounds", parents=[common],
                        help="feasible power interval per user count")

@@ -99,6 +99,9 @@ def power_upper_bound(
         raise ValueError(f"need 0 < p_min < p_max, got [{p_min}, {p_max}]")
     if not tol > 0.0:
         raise ValueError(f"tol must be > 0, got {tol}")
+    if screen_points < 2:
+        # one point would return p_max without ever evaluating dep there
+        raise ValueError(f"screen_points must be >= 2, got {screen_points}")
     target = 1.0 - params.eps_e
 
     grid = np.geomspace(p_min, p_max, screen_points)

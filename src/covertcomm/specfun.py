@@ -1,28 +1,30 @@
 """Real-valued special functions for the detection and rate closed forms.
 
-Implements the regularized incomplete gamma pair, log-Pochhammer symbols,
-the Kummer and Tricomi confluent hypergeometric functions, and the
-exponential integral E1, restricted to the real parameter ranges the
+Provides the regularized incomplete gamma pair P/Q (read from
+scipy.special and returned as an exact complement pair), the Kummer and
+Tricomi confluent hypergeometric functions, and the scaled exponential
+integral e^x E1(x), restricted to the real parameter ranges the
 wideband energy-detection model actually visits.
 
-Gamma and Pochhammer arithmetic inside series runs in log space:
-coefficients like (kL)_n grow factorially and overflow doubles near
-n ~ 170 if multiplied out directly. Each routine here is checked against
-an independent oracle (mpmath or direct quadrature) in the test suite.
+Gamma-function factors run in log space: U(a, b, z) and Gamma(a)
+overflow doubles at the parameters a high-power miss series visits, so
+log_tricomi_u rescales its integrand and returns a logarithm. Each
+routine here is checked against an independent oracle (mpmath or direct
+quadrature) in the test suite.
 """
 
 import math
 import warnings
 from dataclasses import dataclass
 
-from scipy import integrate
+from scipy import integrate, special
 from scipy.integrate import IntegrationWarning
 
 # Euler-Mascheroni constant, to double precision
 EULER_GAMMA = 0.57721566490153286061
 
 _EPS = 2.220446049250313e-16
-_FPMIN = 1e-300  # rescue scale for Lentz continued fractions
+_FPMIN = 1e-300  # rescue scale for the E1 Lentz continued fraction
 _LOG_TINY = -745.0  # exp() underflows to 0 below this
 
 
@@ -56,75 +58,19 @@ class SeriesControl:
 DEFAULT_SERIES_CONTROL = SeriesControl()
 
 
-def log_pochhammer(a: float, n: int) -> float:
-    """log of the rising factorial (a)_n = a (a+1) ... (a+n-1), a > 0."""
-    if not a > 0.0:
-        raise ValueError(f"log_pochhammer requires a > 0, got {a!r}")
-    if n < 0:
-        raise ValueError(f"log_pochhammer requires n >= 0, got {n!r}")
-    if n == 0:
-        return 0.0
-    return math.lgamma(a + n) - math.lgamma(a)
-
-
-def _lower_series(s: float, x: float) -> float:
-    # Ascending series for P(s, x); efficient and stable when x < s + 1.
-    ap = s
-    term = 1.0 / s
-    total = term
-    for _ in range(100_000):
-        ap += 1.0
-        term *= x / ap
-        total += term
-        if abs(term) < abs(total) * _EPS:
-            lg = s * math.log(x) - x - math.lgamma(s) + math.log(total)
-            return math.exp(lg) if lg > _LOG_TINY else 0.0
-    raise ConvergenceError(
-        f"incomplete gamma series stalled at s={s}, x={x}", partial=total
-    )
-
-
-def _upper_cf(s: float, x: float) -> float:
-    # Modified Lentz continued fraction for Q(s, x); stable when x >= s + 1.
-    b = x + 1.0 - s
-    c = 1.0 / _FPMIN
-    d = 1.0 / b
-    h = d
-    for i in range(1, 100_000):
-        an = -i * (i - s)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = b + an / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _EPS:
-            lg = s * math.log(x) - x - math.lgamma(s) + math.log(h)
-            return math.exp(lg) if lg > _LOG_TINY else 0.0
-    raise ConvergenceError(
-        f"incomplete gamma continued fraction stalled at s={s}, x={x}", partial=h
-    )
-
-
 def _reg_gamma_pair(s: float, x: float) -> tuple[float, float]:
-    # Returns (P, Q) with P + Q = 1 exactly: only one member is computed,
-    # the other is its complement, so the pair can never drift apart.
+    # Returns (P, Q) with P + Q = 1 exactly: only the member that does not
+    # suffer cancellation is read from scipy, the other is its complement,
+    # so the pair can never drift apart. scipy returns nan for the inputs
+    # rejected here; this raises instead.
     if not s > 0.0:
         raise ValueError(f"incomplete gamma requires s > 0, got {s!r}")
     if not x >= 0.0:
         raise ValueError(f"incomplete gamma requires x >= 0, got {x!r}")
-    if x == 0.0:
-        return 0.0, 1.0
-    if math.isinf(x):
-        return 1.0, 0.0
     if x < s + 1.0:
-        p = _lower_series(s, x)
+        p = float(special.gammainc(s, x))
         return p, 1.0 - p
-    q = _upper_cf(s, x)
+    q = float(special.gammaincc(s, x))
     return 1.0 - q, q
 
 
@@ -194,7 +140,7 @@ def _check_quad(val: float, err: float) -> None:
         )
 
 
-def log_tricomi_u(a: float, b: float, z: float, ctl: SeriesControl | None = None) -> float:
+def log_tricomi_u(a: float, b: float, z: float) -> float:
     """log of the Tricomi confluent hypergeometric function U(a, b, z).
 
     Uses the integral representation
@@ -279,12 +225,12 @@ def log_tricomi_u(a: float, b: float, z: float, ctl: SeriesControl | None = None
     return log_scale - math.lgamma(a) + top + math.log(total)
 
 
-def tricomi_u(a: float, b: float, z: float, ctl: SeriesControl | None = None) -> float:
+def tricomi_u(a: float, b: float, z: float) -> float:
     """Tricomi confluent hypergeometric function U(a, b, z) for a >= 0, z > 0."""
-    return math.exp(log_tricomi_u(a, b, z, ctl))
+    return math.exp(log_tricomi_u(a, b, z))
 
 
-def exp_e1_scaled(x: float, ctl: SeriesControl | None = None) -> float:
+def exp_e1_scaled(x: float) -> float:
     """The product e^x E1(x) for x > 0, computed without forming E1 alone.
 
     The covert-rate closed form needs this product at arguments where
@@ -295,7 +241,7 @@ def exp_e1_scaled(x: float, ctl: SeriesControl | None = None) -> float:
     """
     if not x > 0.0:
         raise ValueError(f"E1 requires x > 0, got {x!r}")
-    ctl = ctl or DEFAULT_SERIES_CONTROL
+    ctl = DEFAULT_SERIES_CONTROL
     if x <= 1.0:
         total = -EULER_GAMMA - math.log(x)
         term = 1.0
@@ -327,10 +273,3 @@ def exp_e1_scaled(x: float, ctl: SeriesControl | None = None) -> float:
         f"E1 continued fraction did not converge at x={x}", partial=h
     )
 
-
-def exp_integral_e1(x: float, ctl: SeriesControl | None = None) -> float:
-    """Exponential integral E1(x) = int_x^inf e^(-t)/t dt for x > 0."""
-    scaled = exp_e1_scaled(x, ctl)
-    if -x <= _LOG_TINY:
-        return 0.0
-    return math.exp(-x) * scaled

@@ -64,6 +64,17 @@ def test_power_upper_bound_infeasible_at_p_min():
         power_upper_bound(_BASE, p_min=1e4, p_max=1e5)
 
 
+def test_power_upper_bound_rejects_short_screen():
+    # one screening point never evaluates dep at p_max, where the q=8
+    # instance is far from covert (dep ~ 0.085 against a 0.9 target)
+    params = SystemParams(q=8, k=2, L=2, m=2)
+    assert dep(params.with_(p_b=1e3)) < 0.9
+    for n in (0, 1):
+        with pytest.raises(ValueError, match="screen_points"):
+            power_upper_bound(params, screen_points=n)
+    assert power_upper_bound(params, screen_points=2) < 1e3
+
+
 def test_optimal_power_feasible():
     res = optimal_power(_BASE, p_max=1e5)
     assert res.bounds.feasible
