@@ -167,6 +167,17 @@ def _parse_int_list(spec: str) -> list[int]:
     return [int(part) for part in spec.split(",")]
 
 
+def _positive_int(raw: str) -> int:
+    """argparse type for counts that must be at least 1."""
+    try:
+        n = int(raw)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {raw!r}")
+    return n
+
+
 def _fmt_cell(v) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
@@ -518,10 +529,6 @@ def _cmd_validate(args) -> int:
 def _cmd_schedule(args) -> int:
     cfg = load_config(args.config, args.set)
     grid = cfg.grid_config()
-    if args.policy not in scheduler.POLICIES:
-        raise ValueError(
-            f"unknown policy {args.policy!r}, expected one of {scheduler.POLICIES}"
-        )
     rows = []
     trace_text = None
     for ep in range(args.episodes):
@@ -611,7 +618,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="run spectrum-occupation episodes")
     p.add_argument("--policy", default=scheduler.GREEDY_BELIEF,
                    choices=scheduler.POLICIES)
-    p.add_argument("--episodes", type=int, default=10)
+    p.add_argument("--episodes", type=_positive_int, default=10)
     p.add_argument("--trace", default=None,
                    help="write episode 0 grid trace CSV here")
     p.add_argument("--stats-json", default=None,

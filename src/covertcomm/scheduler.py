@@ -189,12 +189,14 @@ def sense(truth: np.ndarray, cfg: GridConfig, rng) -> np.ndarray:
     """One noisy full-band observation: boolean occupied-or-not per slot.
 
     Occupied slots are seen with probability 1 - sense_miss_prob, free
-    slots misread as occupied with probability sense_fa_prob. rng may be
-    an RngSpec or a live numpy Generator.
+    slots misread as occupied with probability sense_fa_prob. truth may
+    have any shape; an (m, q) truth, one row per station, draws the same
+    uniforms row by row as m consecutive calls on its (q,) rows. rng may
+    be an RngSpec or a live numpy Generator.
     """
     gen = _as_generator(rng)
     truth = np.asarray(truth, dtype=bool)
-    u = gen.random(truth.size)
+    u = gen.random(truth.shape)
     p_occ = np.where(truth, 1.0 - cfg.sense_miss_prob, cfg.sense_fa_prob)
     return u < p_occ
 
@@ -207,6 +209,9 @@ def update_beliefs(
     The prior first mixes through the two-state persistence kernel
     (a slot keeps its state with probability belief_persistence), then
     the noisy observation reweights it through the sensor's likelihoods.
+    The update is elementwise, so probs and observed may have any common
+    shape: an (m, q) pair, one row per station, gives each row the same
+    bits as a call on that row alone.
     """
     observed = np.asarray(observed, dtype=bool)
     pi = state.probs
@@ -269,11 +274,8 @@ def decide(
         raise ValueError(f"unknown policy {policy!r}, expected one of {POLICIES}")
 
     taken: set[int] = set(occupied) if occupied else set()
-    slots = (
-        beliefs.probs.argsort(kind="stable").tolist()
-        if policy == GREEDY_BELIEF
-        else range(q)
-    )
+    if policy == GREEDY_BELIEF:
+        slots = beliefs.probs.argsort(kind="stable").tolist()
     picks = []
     for u, prev_f in enumerate(prev.tolist()):
         banned = taken | {prev_f}
@@ -282,8 +284,16 @@ def decide(
         if policy == GREEDY_BELIEF:
             f = next((f for f in slots if f not in banned), -1)
         else:
-            cand = [f for f in slots if f not in banned]
-            f = cand[int(gen.integers(len(cand)))] if cand else -1
+            # the i-th admissible slot, uniform over the admissible ones;
+            # banned may hold -1 (an idle previous slot or an unplaced user)
+            skip = sorted(f for f in banned if 0 <= f < q)
+            f = -1
+            if len(skip) < q:
+                f = int(gen.integers(q - len(skip)))
+                for b in skip:
+                    if b > f:
+                        break
+                    f += 1
         picks.append(f)
         taken.add(f)  # an unplaced user's -1 matches no slot
     out = np.array(picks, dtype=int)
@@ -310,14 +320,29 @@ def run_episode_trace(cfg: GridConfig, policy, rng: RngSpec):
     control matrix enabled, later stations see the slots earlier ones
     claimed. Overloads are tolerated: the affected users stay idle for
     that time slot and the overload counter advances.
+
+    Each time slot draws from the stream in this order: q uniforms for
+    external traffic, then q sensing uniforms per station in index order
+    (stations without users included), interleaved with the draws of
+    decide for policies that draw. greedy_belief draws nothing in
+    decide, so all m stations sense and update their beliefs in one call
+    each; random_hop never reads beliefs, so it skips the update; a
+    custom policy senses, updates and decides station by station.
     """
+    if not (callable(policy) or policy in POLICIES):
+        raise ValueError(f"unknown policy {policy!r}, expected one of {POLICIES}")
+    draws_in_decide = policy != GREEDY_BELIEF
+    reads_beliefs = policy != RANDOM_HOP
     gen = rng.generator()
     n_users = cfg.k
     grid = OccupancyGrid(cfg.q, cfg.p, n_users)
     jam = np.zeros(cfg.q, dtype=bool)
     jam[list(cfg.jammed_slots)] = True
 
-    beliefs = [BeliefState.uniform(cfg.q) for _ in range(cfg.m)]
+    # one row per station; the per-station states are views of the rows,
+    # so updates are written back in place
+    beliefs = BeliefState(probs=np.full((cfg.m, cfg.q), 0.5))
+    station_beliefs = [BeliefState(probs=row) for row in beliefs.probs]
     # user index ranges per station
     bounds = np.concatenate([[0], np.cumsum(cfg.users_per_bs)]).tolist()
     prev = np.full(n_users, -1, dtype=int)
@@ -336,9 +361,16 @@ def run_episode_trace(cfg: GridConfig, policy, rng: RngSpec):
 
         alloc = grid.assignments[t]
         claimed: set[int] = set()
+        if not draws_in_decide:
+            obs = sense(np.broadcast_to(truth, beliefs.probs.shape), cfg, gen)
+            beliefs.probs[:] = update_beliefs(beliefs, obs, cfg).probs
         for b in range(cfg.m):
-            obs = sense(truth, cfg, gen)
-            beliefs[b] = update_beliefs(beliefs[b], obs, cfg)
+            if draws_in_decide:
+                obs = sense(truth, cfg, gen)
+                if reads_beliefs:
+                    beliefs.probs[b] = update_beliefs(
+                        station_beliefs[b], obs, cfg
+                    ).probs
             lo, hi = bounds[b], bounds[b + 1]
             if hi == lo:
                 continue
@@ -346,7 +378,7 @@ def run_episode_trace(cfg: GridConfig, policy, rng: RngSpec):
             occupied = claimed if cfg.shared_control_matrix else None
             try:
                 got = decide(
-                    beliefs[b], prev[lo:hi], policy, gen,
+                    station_beliefs[b], prev[lo:hi], policy, gen,
                     occupied=occupied, excluded=excl,
                 )
             except OverloadError as err:
@@ -384,7 +416,10 @@ def _episode_stats(grid: OccupancyGrid, L: int, overloads: int) -> EpisodeStats:
     slot_counts = np.bincount(u_idx * q + f_idx, minlength=n_users * q).reshape(
         n_users, q
     )
-    entropy = float(np.mean([_entropy_bits(slot_counts[u]) for u in range(n_users)]))
+    # an episode without users has no slot histogram to average
+    entropy = (
+        float(np.mean([_entropy_bits(c) for c in slot_counts])) if n_users else 0.0
+    )
     return EpisodeStats(
         collisions=int(np.count_nonzero(users_on_cell >= 2)),
         jammer_hits=int(np.count_nonzero(hostile)),

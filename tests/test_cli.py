@@ -249,6 +249,23 @@ def test_schedule_trace_matches_per_cell_occupant(tmp_path, capsys):
     assert any(len(set(r[r >= 0])) < np.sum(r >= 0) for r in grid.assignments)
 
 
+def test_schedule_rejects_nonpositive_episodes(tmp_path, capsys):
+    stats_json = tmp_path / "stats.json"
+    for n in ("0", "-2"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["schedule", "--episodes", n, "--stats-json", str(stats_json)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:") and "--episodes" in err
+    assert not stats_json.exists()
+
+
+def test_schedule_without_users(capsys):
+    code, out, _ = _run(capsys, "schedule", "--episodes", "1", "--set", "k=0")
+    assert code == 0
+    assert out.splitlines()[1] == "0,0,0,0,0,0,0"
+
+
 def test_validate_passes_and_is_deterministic(tmp_path, capsys):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"

@@ -60,6 +60,45 @@ def test_sense_perfect_and_degenerate():
     assert not sense(truth, blind, RngSpec(1, 0)).any()
 
 
+def test_sense_rows_match_consecutive_calls():
+    # an (m, q) truth, one row per station, reads the same uniforms as m
+    # consecutive (q,) calls and leaves the generator in the same state
+    cfg = GridConfig(m=3, users_per_bs=(1, 1, 1), q=16,
+                     sense_miss_prob=0.3, sense_fa_prob=0.2)
+    truth = np.random.default_rng(7).random((3, 16)) < 0.5
+    for rows in (truth, np.broadcast_to(truth[0], truth.shape)):
+        whole_gen = RngSpec(12, 0).generator()
+        row_gen = RngSpec(12, 0).generator()
+        whole = sense(rows, cfg, whole_gen)
+        by_row = np.array([sense(r, cfg, row_gen) for r in rows])
+        assert whole.shape == rows.shape
+        assert np.array_equal(whole, by_row)
+        assert whole_gen.random() == row_gen.random()
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        GridConfig(m=1, users_per_bs=(1,), q=8, sense_miss_prob=0.1,
+                   sense_fa_prob=0.05, belief_persistence=0.8),
+        # certain sensing on a frozen state: some updates divide 0 by 0
+        # and keep their prior
+        GridConfig(m=1, users_per_bs=(1,), q=8, belief_persistence=1.0),
+    ],
+    ids=["noisy", "certain"],
+)
+def test_update_beliefs_rows_match_row_calls(cfg):
+    gen = np.random.default_rng(8)
+    probs = gen.random((4, 8))
+    probs[:, :2] = (0.0, 1.0)
+    observed = gen.random((4, 8)) < 0.5
+    whole = update_beliefs(BeliefState(probs=probs), observed, cfg).probs
+    assert whole.shape == probs.shape
+    for b in range(4):
+        row = update_beliefs(BeliefState(probs=probs[b]), observed[b], cfg).probs
+        assert whole[b].tobytes() == row.tobytes()
+
+
 def test_update_beliefs_converges_on_static_truth():
     cfg = GridConfig(
         m=1, users_per_bs=(1,), sense_miss_prob=0.1, sense_fa_prob=0.05
@@ -90,6 +129,52 @@ def test_decide_random_hop_stays_admissible():
         out = decide(beliefs, prev, RANDOM_HOP, RngSpec(4, stream))
         assert out[0] != 2 and out[1] != 4
         assert out[0] != out[1]
+
+
+def _candidate_list_pick(q, prev, gen, occupied, excluded):
+    # random_hop as it once read: draw an index into the list of
+    # admissible slots, user by user
+    taken = set(occupied) if occupied else set()
+    picks = []
+    for u, prev_f in enumerate(prev.tolist()):
+        banned = taken | {prev_f}
+        if excluded is not None:
+            banned.update(excluded[u])
+        cand = [f for f in range(q) if f not in banned]
+        f = cand[int(gen.integers(len(cand)))] if cand else -1
+        picks.append(f)
+        taken.add(f)
+    return picks
+
+
+def test_decide_random_hop_matches_candidate_list():
+    # random banned sets: idle previous slots (-1), slots claimed by
+    # other stations (sometimes -1 too) and per-user exclusions, often
+    # too many to place everyone
+    pool = np.random.default_rng(9)
+    overloads = 0
+    for trial in range(400):
+        q = int(pool.integers(1, 13))
+        n = int(pool.integers(1, q + 2))
+        prev = pool.integers(-1, q, size=n)
+        occupied = set(pool.integers(-1, q, size=pool.integers(0, q)).tolist())
+        excluded = (
+            [set(pool.integers(0, q, size=pool.integers(0, q)).tolist())
+             for _ in range(n)]
+            if trial % 2 else None
+        )
+        gen = RngSpec(10, trial).generator()
+        ref_gen = RngSpec(10, trial).generator()
+        try:
+            got = decide(BeliefState.uniform(q), prev, RANDOM_HOP, gen,
+                         occupied=occupied, excluded=excluded)
+        except OverloadError as err:
+            got = err.assignment
+            overloads += 1
+        want = _candidate_list_pick(q, prev, ref_gen, occupied, excluded)
+        assert got.tolist() == want
+        assert gen.random() == ref_gen.random()  # same number of draws
+    assert 50 < overloads < 350
 
 
 def test_decide_occupied_and_excluded():
@@ -271,6 +356,17 @@ def test_grid_rows_match_occupant():
     assert {"free", "jammer", "external"} <= {tag for _, _, tag in want}
 
 
+def test_episode_without_users():
+    cfg = GridConfig(q=8, p=20, L=2, m=2, users_per_bs=(0, 0))
+    for policy in (GREEDY_BELIEF, RANDOM_HOP):
+        assert run_episode(cfg, policy, RngSpec(97, 0)) == EpisodeStats(
+            0, 0, 0, 0, 0, 0.0
+        )
+    # no station decides here, so the episode itself rejects the name
+    with pytest.raises(ValueError, match="unknown policy"):
+        run_episode(cfg, "clever", RngSpec(97, 0))
+
+
 def test_stats_fields_round_trip():
     st = EpisodeStats(1, 2, 3, 4, 5, 6.5)
     assert st.as_dict() == {
@@ -296,6 +392,24 @@ _TIGHT = GridConfig(
     jammed_slots=frozenset({2}), external_occupancy_prob=0.1,
     sense_miss_prob=0.2, sense_fa_prob=0.1, distinct_within_block=True,
 )
+# a station without users between two with users; it still senses, so
+# its draws advance the stream for the stations after it
+_IDLE_STATION = GridConfig(
+    q=16, p=300, L=4, m=3, users_per_bs=(2, 0, 3),
+    jammed_slots=frozenset({1, 9}), external_occupancy_prob=0.05,
+    sense_miss_prob=0.15, sense_fa_prob=0.1, shared_control_matrix=True,
+)
+_INDEPENDENT = GridConfig(
+    q=16, p=300, L=4, m=3, users_per_bs=(2, 1, 2),
+    jammed_slots=frozenset({5}), external_occupancy_prob=0.05,
+    sense_miss_prob=0.1, sense_fa_prob=0.1,
+)
+
+
+def _belief_weighted(beliefs, prev, gen):
+    # reads the station's beliefs and draws between stations' sensing
+    w = 1.0 - beliefs.probs
+    return gen.choice(w.size, size=prev.size, replace=False, p=w / w.sum())
 
 
 @pytest.mark.parametrize(
@@ -309,8 +423,15 @@ _TIGHT = GridConfig(
          EpisodeStats(156, 136, 0, 2, 39, 2.2801575193030597)),
         (_TIGHT, RngSpec(2024, 4), RANDOM_HOP,
          EpisodeStats(88, 198, 0, 9, 6, 2.3218229954198057)),
+        (_IDLE_STATION, RngSpec(2024, 5), GREEDY_BELIEF,
+         EpisodeStats(0, 16, 0, 364, 0, 3.666520368541972)),
+        (_IDLE_STATION, RngSpec(2024, 5), RANDOM_HOP,
+         EpisodeStats(0, 253, 0, 227, 0, 3.966797102836194)),
+        (_INDEPENDENT, RngSpec(2024, 6), _belief_weighted,
+         EpisodeStats(169, 34, 108, 174, 0, 3.901177382304501)),
     ],
-    ids=["noisy-greedy", "noisy-random", "tight-greedy", "tight-random"],
+    ids=["noisy-greedy", "noisy-random", "tight-greedy", "tight-random",
+         "idle-station-greedy", "idle-station-random", "custom-belief-draws"],
 )
 def test_episode_golden(cfg, spec, policy, want):
     # pinned episode outcomes: any change to the order or number of
