@@ -11,7 +11,8 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+import typing
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -27,25 +28,9 @@ from .specfun import (
     tricomi_u,
 )
 
-_SYSTEM_KEYS = {
-    "m": int, "k": int, "q": int, "L": int,
-    "p_b": float, "sigma0_sq": float,
-    "omega_e": float, "omega_u": float,
-    "gamma_e": float, "gamma_u": float,
-    "eps_e": float, "eps_u": float,
-    "threshold_mode": str,
-}
-_GRID_KEYS = {
-    "p": int,
-    "users_per_bs": "int_list",
-    "jammed_slots": "int_list",
-    "external_occupancy_prob": float,
-    "sense_miss_prob": float,
-    "sense_fa_prob": float,
-    "belief_persistence": float,
-    "distinct_within_block": bool,
-    "shared_control_matrix": bool,
-}
+# config key -> field type, for both dataclasses (q, L and m are in both)
+_SYSTEM_KEYS = {f.name: f.type for f in fields(SystemParams)}
+_GRID_KEYS = {f.name: f.type for f in fields(scheduler.GridConfig)}
 _ALL_KEYS = {**_SYSTEM_KEYS, **_GRID_KEYS}
 
 
@@ -53,10 +38,6 @@ def _coerce(key: str, raw: str):
     kind = _ALL_KEYS[key]
     raw = raw.strip()
     try:
-        if kind is int:
-            return int(raw)
-        if kind is float:
-            return float(raw)
         if kind is bool:
             low = raw.lower()
             if low in ("1", "true", "yes", "on"):
@@ -64,11 +45,11 @@ def _coerce(key: str, raw: str):
             if low in ("0", "false", "no", "off"):
                 return False
             raise ValueError(f"not a boolean: {raw!r}")
-        if kind == "int_list":
+        if typing.get_origin(kind) in (tuple, frozenset):
             if not raw:
                 return ()
             return tuple(int(part) for part in raw.split(","))
-        return raw
+        return kind(raw)
     except ValueError as err:
         raise ValueError(f"config key {key!r}: {err}") from None
 
@@ -91,19 +72,14 @@ class RunConfig:
 
     def grid_config(self, **extra) -> scheduler.GridConfig:
         kw = {k: v for k, v in self.values.items() if k in _GRID_KEYS}
-        for key in ("q", "L", "m"):
-            if key in self.values:
-                kw[key] = self.values[key]
         if "users_per_bs" not in kw:
             # spread k users over the m stations, front-loaded
-            m = kw.get("m", 4)
-            k = self.values.get("k", 4)
+            m = kw.get("m", scheduler.GridConfig.m)
+            k = self.values.get("k", SystemParams.k)
             base, rem = divmod(k, m)
             kw["users_per_bs"] = tuple(
                 base + (1 if b < rem else 0) for b in range(m)
             )
-        if "jammed_slots" in kw:
-            kw["jammed_slots"] = frozenset(kw["jammed_slots"])
         kw.update(extra)
         return scheduler.GridConfig(**kw)
 
@@ -564,17 +540,22 @@ def _cmd_schedule(args) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # every command takes common; fmt, seed and trials go only to the
+    # commands that read them
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", default=None, help="key = value config file")
-    common.add_argument("--seed", type=int, default=12345, help="base RNG seed")
-    common.add_argument(
-        "--trials", type=int, default=100_000, help="Monte Carlo trials per point"
-    )
     common.add_argument("--out", default="-", help="output path, - for stdout")
-    common.add_argument("--format", choices=("csv", "json"), default="csv")
     common.add_argument(
         "--set", action="append", default=[], metavar="KEY=VALUE",
         help="override one config key (repeatable)",
+    )
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", choices=("csv", "json"), default="csv")
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=12345, help="base RNG seed")
+    trials = argparse.ArgumentParser(add_help=False)
+    trials.add_argument(
+        "--trials", type=int, default=100_000, help="Monte Carlo trials per point"
     )
 
     top = argparse.ArgumentParser(
@@ -587,12 +568,13 @@ def _build_parser() -> argparse.ArgumentParser:
         ("dep", _cmd_dep, "detection error"),
         ("rtp", _cmd_rtp, "reliable transmission"),
     ):
-        p = sub.add_parser(name, parents=[common], help=f"{what} probability sweep")
+        p = sub.add_parser(name, parents=[common, fmt, seed, trials],
+                           help=f"{what} probability sweep")
         p.add_argument("--snr-db", default="-10:10:11", help="grid lo:hi:n or list")
         p.add_argument("--k-list", default="4,8,16", help="active user counts")
         p.set_defaults(fn=fn)
 
-    p = sub.add_parser("power-bounds", parents=[common],
+    p = sub.add_parser("power-bounds", parents=[common, fmt],
                        help="feasible power interval per user count")
     p.add_argument("--k-range", default="2:16", help="range lo:hi or list")
     p.add_argument("--p-min", type=float, default=1e-6)
@@ -600,7 +582,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-6)
     p.set_defaults(fn=_cmd_power_bounds)
 
-    p = sub.add_parser("capacity", parents=[common],
+    p = sub.add_parser("capacity", parents=[common, fmt],
                        help="maximum admissible users vs power budget")
     p.add_argument("--snr-db", default="0:20:11", help="p_max grid in dB over noise")
     p.add_argument("--eps-u-list", default="0.05,0.1")
@@ -608,13 +590,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-6)
     p.set_defaults(fn=_cmd_capacity)
 
-    p = sub.add_parser("validate", parents=[common],
+    p = sub.add_parser("validate", parents=[common, seed, trials],
                        help="identity and analytic-vs-MC check suite")
     p.add_argument("--rel-tol", type=float, default=1e-12,
                    help="series truncation tolerance under test")
     p.set_defaults(fn=_cmd_validate)
 
-    p = sub.add_parser("schedule", parents=[common],
+    p = sub.add_parser("schedule", parents=[common, fmt, seed],
                        help="run spectrum-occupation episodes")
     p.add_argument("--policy", default=scheduler.GREEDY_BELIEF,
                    choices=scheduler.POLICIES)

@@ -9,7 +9,7 @@ of what the stations believe, so sensing noise translates directly into
 jammer hits and lost blocks.
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -129,14 +129,7 @@ class EpisodeStats:
     pattern_entropy: float
 
     def as_dict(self) -> dict:
-        return {
-            "collisions": self.collisions,
-            "jammer_hits": self.jammer_hits,
-            "hop_violations": self.hop_violations,
-            "blocks_delivered": self.blocks_delivered,
-            "overloads": self.overloads,
-            "pattern_entropy": self.pattern_entropy,
-        }
+        return asdict(self)
 
 
 class OccupancyGrid:

@@ -3,8 +3,9 @@
 Provides the regularized incomplete gamma pair P/Q (read from
 scipy.special and returned as an exact complement pair), the Kummer and
 Tricomi confluent hypergeometric functions, and the scaled exponential
-integral e^x E1(x), restricted to the real parameter ranges the
-wideband energy-detection model actually visits.
+integral e^x E1(x) (scipy.special.exp1 below x = 700, an asymptotic sum
+from there on), restricted to the real parameter ranges the wideband
+energy-detection model actually visits.
 
 Gamma-function factors run in log space: U(a, b, z) and Gamma(a)
 overflow doubles at the parameters a high-power miss series visits, so
@@ -20,11 +21,6 @@ from dataclasses import dataclass
 from scipy import integrate, special
 from scipy.integrate import IntegrationWarning
 
-# Euler-Mascheroni constant, to double precision
-EULER_GAMMA = 0.57721566490153286061
-
-_EPS = 2.220446049250313e-16
-_FPMIN = 1e-300  # rescue scale for the E1 Lentz continued fraction
 _LOG_TINY = -745.0  # exp() underflows to 0 below this
 
 
@@ -231,45 +227,22 @@ def tricomi_u(a: float, b: float, z: float) -> float:
 
 
 def exp_e1_scaled(x: float) -> float:
-    """The product e^x E1(x) for x > 0, computed without forming E1 alone.
+    """The product e^x E1(x) for x > 0, without overflow or underflow.
 
     The covert-rate closed form needs this product at arguments where
-    E1(x) itself underflows (x beyond ~700). For x <= 1 the classic
-    series E1 = -gamma - ln x + sum (-1)^(n+1) x^n / (n n!) is used and
-    then scaled; for x > 1 a Lentz continued fraction yields the scaled
-    product directly.
+    E1(x) itself underflows. Below x = 700 it is e^x times
+    scipy.special.exp1. From 700 on, where E1 nears the subnormal range
+    and e^x nears overflow, the asymptotic sum
+    (1/x) sum_{n<12} (-1)^n n! / x^n is used; the first term it drops,
+    12!/x^12, is below 4e-26 there.
     """
     if not x > 0.0:
         raise ValueError(f"E1 requires x > 0, got {x!r}")
-    ctl = DEFAULT_SERIES_CONTROL
-    if x <= 1.0:
-        total = -EULER_GAMMA - math.log(x)
-        term = 1.0
-        for n in range(1, ctl.max_terms):
-            term *= -x / n
-            total -= term / n
-            if abs(term) <= ctl.rel_tol * abs(total) * n:
-                return math.exp(x) * total
-        raise ConvergenceError(f"E1 series did not converge at x={x}", partial=total)
-    b = x + 1.0
-    c = 1.0 / _FPMIN
-    d = 1.0 / b
-    h = d
-    for i in range(1, ctl.max_terms):
-        an = -float(i * i)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = b + an / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _EPS:
-            return h
-    raise ConvergenceError(
-        f"E1 continued fraction did not converge at x={x}", partial=h
-    )
-
+    if x < 700.0:
+        return math.exp(x) * float(special.exp1(x))
+    total = 0.0
+    term = 1.0
+    for n in range(12):
+        total += term
+        term *= -(n + 1) / x
+    return total / x

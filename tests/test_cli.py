@@ -1,6 +1,7 @@
 """Command-line interface: argument handling, config files, output
 formats, exit codes, and agreement with the library calls it wraps."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -49,6 +50,51 @@ def test_config_rejects_unknown_and_malformed(tmp_path):
         cli.load_config(None, ["nope=1"])
     with pytest.raises(ValueError):
         cli.load_config(None, ["q=notanint"])
+
+
+# a valid non-default value for every field of SystemParams and
+# GridConfig, as written in a config file, and the value it must become
+_FIELD_VALUES = {
+    "m": ("2", 2), "k": ("2", 2), "q": ("32", 32), "L": ("4", 4),
+    "p_b": ("3.5", 3.5), "sigma0_sq": ("0.5", 0.5),
+    "omega_e": ("1.5", 1.5), "omega_u": ("3", 3.0),
+    "gamma_e": ("1.5", 1.5), "gamma_u": ("2.5", 2.5),
+    "eps_e": ("0.2", 0.2), "eps_u": ("0.05", 0.05),
+    "threshold_mode": ("raw", "raw"),
+    "p": ("50", 50),
+    "users_per_bs": ("2,1,0,1", (2, 1, 0, 1)),
+    "jammed_slots": ("1,3", frozenset({1, 3})),
+    "external_occupancy_prob": ("0.25", 0.25),
+    "sense_miss_prob": ("0.1", 0.1),
+    "sense_fa_prob": ("0.05", 0.05),
+    "belief_persistence": ("0.5", 0.5),
+    "distinct_within_block": ("yes", True),
+    "shared_control_matrix": ("on", True),
+}
+_SYSTEM_FIELDS = {f.name for f in dataclasses.fields(SystemParams)}
+_GRID_FIELDS = {f.name for f in dataclasses.fields(GridConfig)}
+
+
+@pytest.mark.parametrize("key", sorted(_SYSTEM_FIELDS | _GRID_FIELDS))
+def test_config_sets_every_field(key):
+    raw, want = _FIELD_VALUES[key]
+    cfg = cli.load_config(None, [f"{key}={raw}"])
+    reached = []
+    if key in _SYSTEM_FIELDS:
+        assert getattr(SystemParams(), key) != want
+        reached.append(getattr(cfg.system_params(), key))
+    if key in _GRID_FIELDS:
+        assert getattr(GridConfig(), key) != want
+        reached.append(getattr(cfg.grid_config(), key))
+    for got in reached:
+        assert got == want and type(got) is type(want)
+    # q, L and m configure both the detector model and the grid
+    assert len(reached) == (2 if key in ("q", "L", "m") else 1)
+
+
+def test_config_empty_int_list():
+    cfg = cli.load_config(None, ["jammed_slots="])
+    assert cfg.grid_config().jammed_slots == frozenset()
 
 
 def test_grid_parsers():
@@ -312,6 +358,21 @@ def test_exit_codes(capsys, tmp_path):
         cli.main(["dep", "--format", "yaml"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ("schedule", "--episodes", "1", "--set", "p=10", "--trials", "3"),
+    ("power-bounds", "--k-range", "1", "--seed", "1"),
+    ("capacity", "--snr-db", "10", "--eps-u-list", "0.1", "--trials", "500"),
+    ("validate", "--trials", "2000", "--format", "csv"),
+], ids=lambda argv: argv[0])
+def test_subcommands_reject_flags_they_ignore(capsys, tmp_path, argv):
+    # a flag the command would not read is a usage error, not a no-op
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_failed_rows_say_why(capsys, monkeypatch):

@@ -8,6 +8,7 @@ algorithms, not the references.
 import math
 
 import mpmath
+import numpy as np
 import pytest
 
 from covertcomm.specfun import (
@@ -193,6 +194,18 @@ def test_tricomi_power_identity():
 @pytest.mark.parametrize("x,ref", _E1_SCALED_CASES)
 def test_exp_e1_scaled_against_reference(x, ref):
     assert _rel(exp_e1_scaled(x), ref) <= 1e-12
+
+
+def test_exp_e1_scaled_against_mpmath_grid():
+    # twelve decades either side of 1, and both sides of the switch to the
+    # asymptotic sum at 700 and of exp overflow at 709.78; the benchmark
+    # oracle reads the same scipy exp1, so mpmath is the independent check
+    xs = [*np.geomspace(1e-12, 1e12, 200), *np.linspace(690.0, 710.0, 41)]
+    with mpmath.workdps(40):
+        for x in map(float, xs):
+            want = mpmath.exp(x) * mpmath.e1(x)
+            err = abs(exp_e1_scaled(x) - want) / want
+            assert err <= 1e-14, (x, float(err))
 
 
 def test_exp_e1_scaled_monotone_decreasing():
