@@ -212,6 +212,14 @@ def _cond_md_block(
     return h
 
 
+def _log_c(params: SystemParams) -> float:
+    # ln c = ln(sigma0_sq / (rho omega_e)), without forming rho, which
+    # underflows for subnormal p_b
+    return math.log(
+        params.sigma0_sq * params.q * params.k * params.L / (params.m * params.omega_e)
+    ) - math.log(params.p_b)
+
+
 def _avg_md_quadrature(params: SystemParams, y: float) -> float:
     # md = integral of h(z) phi(z + ln c) dz with c = sigma0_sq / (rho omega_e);
     # the trapezoid rule on the nested grids z_j = j 2^-level converges
@@ -220,11 +228,7 @@ def _avg_md_quadrature(params: SystemParams, y: float) -> float:
     # shared by every power a solver tries
     s0 = float(params.q * params.L)
     kl = float(params.k * params.L)
-    # ln(sigma0_sq / (rho omega_e)), without forming rho, which underflows
-    # for subnormal p_b
-    ln_c = math.log(
-        params.sigma0_sq * params.q * params.k * params.L / (params.m * params.omega_e)
-    ) - math.log(params.p_b)
+    ln_c = _log_c(params)
     for level in range(_LEVEL_START, _LEVEL_MAX + 1):
         step = 2.0**-level
         j_lo = math.ceil((_W_LO - ln_c) / step)
@@ -252,11 +256,13 @@ def _avg_md_quadrature(params: SystemParams, y: float) -> float:
 
 
 def _avg_md_series(params: SystemParams, y: float, ctl: SeriesControl) -> float:
-    s2 = params.sigma0_sq
     s0 = float(params.q * params.L)
     kl = float(params.k * params.L)
-    c = s2 / (params.rho * params.omega_e)
-    lc = math.log(c)
+    p0 = _shape(s0, y, 0)
+    lc = _log_c(params)
+    if lc > 709.0:
+        return p0  # c overflows: md is its p_b -> 0 limit P(qL, y)
+    c = math.exp(lc)
     total = 0.0
     mass = 0.0
     for n in range(ctl.max_terms):
@@ -267,7 +273,7 @@ def _avg_md_series(params: SystemParams, y: float, ctl: SeriesControl) -> float:
         total += w * _shape(s0, y, n)
         bound = max(1.0 - mass, 0.0) * _shape(s0, y, n + 1)
         if n >= 1 and bound <= ctl.rel_tol * total + 1e-300:
-            return total
+            return min(total, p0)
     raise ConvergenceError(
         "averaged miss series did not converge", partial=total, terms=ctl.max_terms
     )

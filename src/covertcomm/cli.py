@@ -34,9 +34,8 @@ _GRID_KEYS = {f.name: f.type for f in fields(scheduler.GridConfig)}
 _ALL_KEYS = {**_SYSTEM_KEYS, **_GRID_KEYS}
 
 
-def _coerce(key: str, raw: str):
+def _coerce(where: str, key: str, raw: str):
     kind = _ALL_KEYS[key]
-    raw = raw.strip()
     try:
         if kind is bool:
             low = raw.lower()
@@ -51,7 +50,7 @@ def _coerce(key: str, raw: str):
             return tuple(int(part) for part in raw.split(","))
         return kind(raw)
     except ValueError as err:
-        raise ValueError(f"config key {key!r}: {err}") from None
+        raise ValueError(f"{where}: config key {key!r}: {err}") from None
 
 
 @dataclass(frozen=True)
@@ -65,23 +64,33 @@ class RunConfig:
 
     values: dict
 
-    def system_params(self, **extra) -> SystemParams:
+    def system_params(self) -> SystemParams:
         kw = {k: v for k, v in self.values.items() if k in _SYSTEM_KEYS}
-        kw.update(extra)
         return SystemParams(**kw)
 
-    def grid_config(self, **extra) -> scheduler.GridConfig:
+    def grid_config(self) -> scheduler.GridConfig:
         kw = {k: v for k, v in self.values.items() if k in _GRID_KEYS}
         if "users_per_bs" not in kw:
             # spread k users over the m stations, front-loaded
             m = kw.get("m", scheduler.GridConfig.m)
             k = self.values.get("k", SystemParams.k)
             base, rem = divmod(k, m)
-            kw["users_per_bs"] = tuple(
-                base + (1 if b < rem else 0) for b in range(m)
-            )
-        kw.update(extra)
+            kw["users_per_bs"] = tuple(base + (b < rem) for b in range(m))
         return scheduler.GridConfig(**kw)
+
+
+def _parse_pair(where: str, text: str) -> tuple[str, object]:
+    # one "key = value" from a config line or a --set pair; where prefixes
+    # the error messages
+    if "=" not in text:
+        raise ValueError(f"{where}: expected 'key = value', got {text!r}")
+    key, raw = (part.strip() for part in text.split("=", 1))
+    if key not in _ALL_KEYS:
+        raise ValueError(
+            f"{where}: unknown config key {key!r} "
+            f"(known: {', '.join(sorted(_ALL_KEYS))})"
+        )
+    return key, _coerce(where, key, raw)
 
 
 def load_config(path: str | None, overrides=()) -> RunConfig:
@@ -90,32 +99,15 @@ def load_config(path: str | None, overrides=()) -> RunConfig:
     Blank lines and # comments are skipped; unknown keys are rejected so
     a typo cannot silently fall back to a default.
     """
-    values: dict = {}
+    pairs = []
     if path:
         with open(path, "r", encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, 1):
                 line = line.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise ValueError(
-                        f"{path}:{lineno}: expected 'key = value', got {line!r}"
-                    )
-                key, raw = (part.strip() for part in line.split("=", 1))
-                if key not in _ALL_KEYS:
-                    raise ValueError(
-                        f"{path}:{lineno}: unknown config key {key!r} "
-                        f"(known: {', '.join(sorted(_ALL_KEYS))})"
-                    )
-                values[key] = _coerce(key, raw)
-    for pair in overrides or ():
-        if "=" not in pair:
-            raise ValueError(f"--set expects key=value, got {pair!r}")
-        key, raw = (part.strip() for part in pair.split("=", 1))
-        if key not in _ALL_KEYS:
-            raise ValueError(f"--set: unknown config key {key!r}")
-        values[key] = _coerce(key, raw)
-    return RunConfig(values=values)
+                if line:
+                    pairs.append(_parse_pair(f"{path}:{lineno}", line))
+    pairs.extend(_parse_pair("--set", pair) for pair in overrides or ())
+    return RunConfig(values=dict(pairs))
 
 
 def _parse_float_grid(spec: str) -> list[float]:

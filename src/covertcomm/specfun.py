@@ -9,19 +9,22 @@ energy-detection model actually visits.
 
 Gamma-function factors run in log space: U(a, b, z) and Gamma(a)
 overflow doubles at the parameters a high-power miss series visits, so
-log_tricomi_u rescales its integrand and returns a logarithm. Each
-routine here is checked against an independent oracle (mpmath or direct
-quadrature) in the test suite.
+log_tricomi_u integrates relative to the integrand's peak, by one
+trapezoid rule in log t, and returns a logarithm. Each routine here is
+checked against mpmath in the test suite.
 """
 
 import math
-import warnings
 from dataclasses import dataclass
 
-from scipy import integrate, special
-from scipy.integrate import IntegrationWarning
+import numpy as np
+from scipy import special
 
-_LOG_TINY = -745.0  # exp() underflows to 0 below this
+# The U integrand is cut where its log falls this far below the peak
+_U_DROP = 40.0
+_U_REACH_MAX = 2**16  # steps of the level-0 grid on either side of the peak
+_U_LEVEL_MAX = 8
+_U_REL_TOL = 1e-9
 
 
 class ConvergenceError(ArithmeticError):
@@ -104,52 +107,25 @@ def kummer_1f1(a: float, b: float, z: float, ctl: SeriesControl | None = None) -
     )
 
 
-def _u_phi(a: float, b: float, z: float, t: float) -> float:
-    # log of the U integrand t^(a-1) (1+t)^(b-a-1) e^(-zt), t > 0
-    return -z * t + (a - 1.0) * math.log(t) + (b - a - 1.0) * math.log1p(t)
-
-
-def _u_peak(a: float, b: float, z: float) -> float | None:
-    # Stationary point of the log integrand: z t^2 + (z + 2 - b) t - (a - 1) = 0.
-    bb = z + 2.0 - b
-    disc = bb * bb + 4.0 * z * (a - 1.0)
-    if disc < 0.0:
-        return None
-    t = (-bb + math.sqrt(disc)) / (2.0 * z)
-    return t if t > 0.0 else None
-
-
-def _quad(fn, lo, hi, points=None) -> tuple[float, float]:
-    # (value, error estimate); the caller checks the error of its whole sum
-    # with _check_quad, so a negligible piece is not held to its own size
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        return integrate.quad(
-            fn, lo, hi, points=points, limit=300, epsabs=1e-280, epsrel=1e-11
-        )
-
-
-def _check_quad(val: float, err: float) -> None:
-    if err > max(abs(val) * 1e-7, 1e-270):
-        raise ConvergenceError(
-            f"quadrature error {err:g} too large for integral value {val:g}"
-        )
-
-
 def log_tricomi_u(a: float, b: float, z: float) -> float:
     """log of the Tricomi confluent hypergeometric function U(a, b, z).
 
-    Uses the integral representation
+    Uses the integral representation (DLMF 13.4.4)
 
         U(a, b, z) = (1 / Gamma(a)) * int_0^inf t^(a-1) (1+t)^(b-a-1) e^(-zt) dt
 
-    valid for a > 0, z > 0 and any real b (including the non-positive
-    integers where no series representation exists), after the Kummer
-    transformation U(a, b, z) = z^(1-b) U(a-b+1, 2-b, z) (DLMF 13.2.40)
-    for b < 1. The integrand is rescaled by its peak value before
-    quadrature so the result stays finite even when U itself would
-    overflow or underflow a double.
+    valid for a > 0, z > 0 and any real b. With t = e^s the log integrand
+    psi(s) = a s + (b-a-1) log(1+e^s) - z e^s is analytic and unimodal,
+    and decays exponentially to the left and doubly exponentially to the
+    right, so the trapezoid rule on the grids s* + j h 2^-level around its
+    peak s* converges exponentially. The step is halved until two grids
+    agree to _U_REL_TOL, else ConvergenceError carries the last estimate.
+    psi is taken relative to its peak value, so the result stays finite
+    even when U itself would overflow or underflow a double.
     """
+    for name, v in (("a", a), ("b", b), ("z", z)):
+        if not math.isfinite(v):
+            raise ValueError(f"tricomi U requires a finite {name}, got {v!r}")
     if a == 0.0:
         return 0.0  # U(0, b, z) = 1: the defining series terminates at n = 0
     if not a > 0.0:
@@ -157,68 +133,54 @@ def log_tricomi_u(a: float, b: float, z: float) -> float:
     if not z > 0.0:
         raise ValueError(f"tricomi U requires z > 0, got {z!r}")
 
-    # For b < 1 the factor (1+t)^(b-a-1) can decay on a scale far narrower
-    # than the 1/z the split below assumes, and quad then steps over the
-    # peak; after the transformation b > 1 and e^(-zt) sets the scale
-    log_scale = 0.0
-    if b < 1.0:
-        log_scale = (1.0 - b) * math.log(z)
-        a, b = a - b + 1.0, 2.0 - b
+    # the peak t* = e^s* is the positive root of z t^2 + (z+1-b) t - a = 0;
+    # its discriminant is taken as a hypot so that a huge z cannot overflow
+    c = b - a - 1.0
+    lin = z + 1.0 - b
+    root = math.hypot(lin, 2.0 * math.sqrt(a) * math.sqrt(z))
+    if lin > 0.0:
+        s_pk = math.log(2.0 * a) - math.log(lin + root)
+    else:
+        s_pk = math.log(root - lin) - math.log(2.0 * z)
+    # u = t*/(1+t*) and -psi''(s*) = a + c u^2 > 0; z t* = a + c u is
+    # bounded, but that sum cancels for b near 1 and large t*
+    log_1mu = -float(np.logaddexp(0.0, s_pk))
+    log_u = -float(np.logaddexp(0.0, -s_pk))
+    u = math.exp(log_u)
+    zt = math.exp(math.log(z) + s_pk)
+    # the step starts at the peak width, but at most 1: (1+e^s)^c can be
+    # singular at Im s = pi, so the rule's error is about e^(-2 pi^2 / h)
+    # whatever the width, and a wider step only adds levels
+    width = 1.0 / math.sqrt(max(a + c * u * u, 1.0))
 
-    tpk = _u_peak(a, b, z)
-    if a >= 1.0:
-        # Integrand is bounded: value at t=0 is 1 for a == 1, else 0.
-        t0 = tpk if tpk is not None else 0.0
-        phimax = _u_phi(a, b, z, t0) if t0 > 0.0 else 0.0
+    def psi(d):
+        # psi(s* + d) - psi(s*)
+        return a * d + c * np.logaddexp(log_1mu, log_u + d) - zt * np.expm1(d)
 
-        def scaled(t):
-            if t <= 0.0:
-                return math.exp(-phimax) if a == 1.0 else 0.0
-            lg = _u_phi(a, b, z, t) - phimax
-            return math.exp(lg) if lg > _LOG_TINY else 0.0
+    # psi is unimodal: double each reach until psi is _U_DROP below the peak
+    lo = hi = 1
+    while psi(-lo * width) > -_U_DROP and lo <= _U_REACH_MAX:
+        lo *= 2
+    while psi(hi * width) > -_U_DROP and max(lo, hi) <= _U_REACH_MAX:
+        hi *= 2
+    if max(lo, hi) > _U_REACH_MAX:
+        raise ConvergenceError(f"tricomi U integrand wider than {_U_REACH_MAX} steps")
 
-        # Width of the peak sets the split between the bulk and the
-        # pure-exponential tail handled by the semi-infinite rule.
-        width = 1.0 / z
-        if t0 > 0.0:
-            curv = -(a - 1.0) / (t0 * t0) - (b - a - 1.0) / ((1.0 + t0) ** 2)
-            if curv < 0.0:
-                width = max(width, 1.0 / math.sqrt(-curv))
-        split = t0 + 40.0 * width
-        bulk, bulk_err = _quad(scaled, 0.0, split, points=[t0] if 0.0 < t0 < split else None)
-        tail, tail_err = _quad(scaled, split, math.inf)
-        _check_quad(bulk + tail, bulk_err + tail_err)
-        return log_scale - math.lgamma(a) + phimax + math.log(bulk + tail)
-
-    # 0 < a < 1: integrable singularity at t=0. Substituting t = u^(1/a)
-    # on [0, 1] gives a bounded integrand; the rest is regular.
-    inv_a = 1.0 / a
-
-    def desing(u):
-        if u <= 0.0:
-            return inv_a
-        t = u ** inv_a
-        lg = -z * t + (b - a - 1.0) * math.log1p(t)
-        return inv_a * math.exp(lg) if lg > _LOG_TINY else 0.0
-
-    head, head_err = _quad(desing, 0.0, 1.0)
-    phimax = _u_phi(a, b, z, 1.0)
-    if tpk is not None and tpk > 1.0:
-        phimax = max(phimax, _u_phi(a, b, z, tpk))
-
-    def scaled_tail(t):
-        lg = _u_phi(a, b, z, t) - phimax
-        return math.exp(lg) if lg > _LOG_TINY else 0.0
-
-    rest, rest_err = _quad(scaled_tail, 1.0, math.inf)
-    lhead = math.log(head) if head > 0.0 else -math.inf
-    lrest = phimax + math.log(rest) if rest > 0.0 else -math.inf
-    top = max(lhead, lrest)
-    # head is in natural units and rest in units of e^phimax: check the
-    # summed error against the sum, both in units of e^top
-    total = math.exp(lhead - top) + math.exp(lrest - top)
-    _check_quad(total, head_err * math.exp(-top) + rest_err * math.exp(phimax - top))
-    return log_scale - math.lgamma(a) + top + math.log(total)
+    # log(peak value / Gamma(a)), with log(1+t*) = -log(1-u) and z t* = zt
+    log_peak = a * s_pk - c * log_1mu - zt - math.lgamma(a)
+    total = 0.0
+    for level in range(_U_LEVEL_MAX + 1):
+        k = 2**level
+        # level 0 is every node; each finer level adds the odd ones
+        j = np.arange(-lo, hi + 1) if level == 0 else np.arange(1 - lo * k, hi * k, 2)
+        coarse, total = total, total + float(np.exp(psi(j * (width / k))).sum())
+        if level and abs(total - 2.0 * coarse) <= _U_REL_TOL * total:
+            return log_peak + math.log(total * width / k)
+    raise ConvergenceError(
+        f"tricomi U trapezoid not converged at level {_U_LEVEL_MAX} (a={a}, b={b}, z={z})",
+        partial=log_peak + math.log(total * width / k),
+        terms=(lo + hi) * k + 1,
+    )
 
 
 def tricomi_u(a: float, b: float, z: float) -> float:

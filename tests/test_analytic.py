@@ -130,6 +130,20 @@ def test_miss_detection_zero_power():
     assert got == pytest.approx(1.0 - false_alarm_prob(_SMALL), rel=1e-13)
 
 
+@pytest.mark.parametrize("p_b", [5e-324, 1e-315, 1e-310, 1e-300])
+def test_miss_detection_at_tiny_power(p_b):
+    # rho underflows or c = sigma0_sq / (rho omega_e) overflows: both routes
+    # read ln c, and both stay at or below the p_b -> 0 limit P(qL, y)
+    params = _BASE.with_(gamma_e=1.0, p_b=p_b)
+    limit = miss_detection_prob(params.with_(p_b=0.0))
+    series = miss_detection_prob(params, "series")
+    quad = miss_detection_prob(params, "quadrature")
+    for got in (series, quad):
+        assert 0.0 <= got <= limit <= 1.0
+    assert abs(series - quad) <= 1e-12
+    assert abs(series - limit) <= 1e-12
+
+
 def test_dep_is_fa_plus_md():
     params = _BASE.with_(p_b=power_from_snr_db(37.0))
     assert dep(params) == pytest.approx(
@@ -258,9 +272,8 @@ def test_quadrature_raises_when_not_converged(monkeypatch):
     (64, 8, 1), (64, 8, 32), (64, 8, 64), (8, 2, 1), (8, 2, 4), (8, 2, 8),
 ])
 def test_series_matches_quadrature_over_domain(q, L, k):
-    # both routes must return at every point: the Tricomi U quadrature
-    # checks the error of its summed pieces, so a negligible tail piece
-    # (q=8, L=2, 60 dB, k in {1, 4}) no longer raises on its own
+    # both routes must return at every point, including q=8, L=2, 60 dB,
+    # k in {1, 4}, where an earlier Tricomi U quadrature raised
     for snr in (30.0, 40.0, 47.0, 50.0, 60.0):
         params = SystemParams(q=q, L=L, k=k, p_b=power_from_snr_db(snr))
         series = miss_detection_prob(params, "series")

@@ -43,12 +43,14 @@ def test_config_rejects_unknown_and_malformed(tmp_path):
     conf.write_text("qq = 8\n")
     with pytest.raises(ValueError, match="unknown config key"):
         cli.load_config(str(conf), [])
-    conf.write_text("just words\n")
-    with pytest.raises(ValueError, match="expected 'key = value'"):
+    conf.write_text("# header\njust words\n")
+    with pytest.raises(ValueError, match=r"bad\.conf:2: expected 'key = value'"):
         cli.load_config(str(conf), [])
-    with pytest.raises(ValueError, match="unknown config key"):
+    with pytest.raises(ValueError, match="^--set: unknown config key"):
         cli.load_config(None, ["nope=1"])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^--set: expected 'key = value'"):
+        cli.load_config(None, ["q 8"])
+    with pytest.raises(ValueError, match="^--set: config key 'q'"):
         cli.load_config(None, ["q=notanint"])
 
 

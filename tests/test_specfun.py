@@ -6,11 +6,15 @@ algorithms, not the references.
 """
 
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
 
+from covertcomm import specfun
 from covertcomm.specfun import (
     ConvergenceError,
     SeriesControl,
@@ -165,12 +169,15 @@ def test_log_tricomi_against_reference(a, b, z, ref):
     assert abs(log_tricomi_u(a, b, z) - ref) <= 1e-9 * abs(ref)
 
 
-@pytest.mark.parametrize("a", [0.3, 1.0, 2.0, 3.0, 5.0, 8.0, 20.0])
-@pytest.mark.parametrize("b", [-510.0, -63.0, -30.0, -6.0, 0.0, 0.5, 2.0])
+@pytest.mark.parametrize("a", [0.05, 0.3, 0.7, 1.0, 2.0, 3.0, 5.0, 8.0, 20.0, 100.0, 600.0])
+@pytest.mark.parametrize("b", [-510.0, -63.0, -30.0, -6.0, 0.0, 0.5, 1.0, 2.0, 30.0, 300.0])
 def test_log_tricomi_against_mpmath_grid(a, b):
-    # b = 2 - kL and the small z of the series miss route at high power
+    # b = 2 - kL and the small z of the series miss route at high power,
+    # 0 < a < 1, b > a + 1 and large z; mpmath's hyperu takes seconds
+    # where a z is large, and at b = -510, z = 1e3
+    zs = (1e-6, 1e-3, 0.0204, 0.3, 3.0, 10.0, 100.0, 1e3)
     with mpmath.workdps(40):
-        for z in (1e-3, 0.0204, 0.3, 3.0, 10.0):
+        for z in (z for z in zs if a * z <= 1e4 and (b, z) != (-510.0, 1e3)):
             want = mpmath.log(mpmath.hyperu(a, b, z))
             err = abs(mpmath.expm1(log_tricomi_u(a, b, z) - want))
             assert err <= 1e-10, (z, float(err))
@@ -183,6 +190,31 @@ def test_tricomi_edges():
         tricomi_u(-1.0, 0.5, 1.0)
     with pytest.raises(ValueError):
         tricomi_u(2.0, 0.5, 0.0)
+    # a non-finite argument is named, not left to the arithmetic
+    for args, name in (
+        ((2.0, math.nan, 1.0), "b"),
+        ((math.inf, 0.5, 1.0), "a"),
+        ((2.0, -math.inf, 1.0), "b"),
+        ((2.0, math.inf, 1.0), "b"),
+        ((2.0, 0.5, math.inf), "z"),
+        ((0.0, math.nan, 1.0), "b"),
+    ):
+        with pytest.raises(ValueError, match=f"finite {name},"):
+            log_tricomi_u(*args)
+
+
+def test_tricomi_raises_when_not_converged(monkeypatch):
+    want = log_tricomi_u(5.0, 2.0, 0.5)
+    monkeypatch.setattr(specfun, "_U_LEVEL_MAX", 1)
+    with pytest.raises(ConvergenceError) as err:
+        log_tricomi_u(5.0, 2.0, 0.5)
+    assert math.isfinite(err.value.partial)
+    assert abs(err.value.partial - want) <= 1e-3
+    assert err.value.terms > 0
+    # an integrand wider than the reach cap raises before building its grid
+    monkeypatch.setattr(specfun, "_U_REACH_MAX", 4)
+    with pytest.raises(ConvergenceError, match="wider"):
+        log_tricomi_u(0.05, 0.5, 1.0)
 
 
 def test_tricomi_power_identity():
@@ -219,6 +251,17 @@ def test_exp_e1_scaled_rejects_nonpositive():
         exp_e1_scaled(0.0)
     with pytest.raises(ValueError):
         exp_e1_scaled(-2.0)
+
+
+def test_import_leaves_scipy_integrate_out():
+    # the U trapezoid needs no scipy.integrate, whose import would add a
+    # third to every CLI start; only validate's rate check loads it
+    src = str(Path(specfun.__file__).parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import covertcomm.cli; "
+        "sys.exit('scipy.integrate' in sys.modules)"
+    )
+    assert subprocess.run([sys.executable, "-c", code]).returncode == 0
 
 
 def test_series_control_validation():
