@@ -21,7 +21,9 @@ are kept separate so they can cross-check each other:
   two successive grids agree. Each mixture term is one exp of a
   log-space sum, so nothing overflows for large kL. The grid does not
   depend on p_b, so P_md at the nodes is cached in blocks and shared by
-  every power a solver tries at one (qL, kL, y).
+  every power a solver tries at one (qL, kL, y); one call can also
+  average at many powers against the same nodes, each level fetching
+  the blocks once, and give the slope in ln p_b from them.
 - "series" turns each mixture weight, averaged over the gain, into
   c (kL)_n U(n+1, 2-kL, c) with the Tricomi U function and sums the
   resulting series under a SeriesControl.
@@ -212,46 +214,108 @@ def _cond_md_block(
     return h
 
 
-def _log_c(params: SystemParams) -> float:
-    # ln c = ln(sigma0_sq / (rho omega_e)), without forming rho, which
-    # underflows for subnormal p_b
+def _log_c(params: SystemParams, p_b: float) -> float:
+    # ln c = ln(sigma0_sq / (rho omega_e)) at power p_b, without forming rho,
+    # which underflows for subnormal p_b
     return math.log(
         params.sigma0_sq * params.q * params.k * params.L / (params.m * params.omega_e)
-    ) - math.log(params.p_b)
+    ) - math.log(p_b)
 
 
-def _avg_md_quadrature(params: SystemParams, y: float) -> float:
-    # md = integral of h(z) phi(z + ln c) dz with c = sigma0_sq / (rho omega_e);
-    # the trapezoid rule on the nested grids z_j = j 2^-level converges
-    # exponentially for this analytic, doubly exponentially decaying
-    # integrand, and the grids do not depend on p_b, so the h blocks are
-    # shared by every power a solver tries
+def _md_limit(params: SystemParams, y: float, p_b: float) -> float | None:
+    """md where it needs no gain average (an edge of the domain), else None."""
+    if y == 0.0:
+        return 0.0
+    if math.isinf(y):
+        # the statistic is almost surely finite
+        return 1.0
+    if p_b == 0.0:
+        return reg_gamma_lower(params.q * params.L, y)
+    if p_b == math.inf:
+        # the occupied slots' energy is infinite
+        return 0.0
+    return None
+
+
+def _md_many(params: SystemParams, p_b, slope: bool = False):
+    """Quadrature-route miss probability at every power in the sequence p_b.
+
+    Returns an array with one md per power, each bit for bit what
+    miss_detection_prob gives for that power alone. With slope, a second
+    array holds d md / d ln p_b, from the same trapezoid nodes as md. A
+    power whose average does not converge raises ConvergenceError, which
+    names the first such power in p_b.
+    """
+    powers = [float(p) for p in p_b]
+    y = params.effective_threshold / params.sigma0_sq
+    md = [_md_limit(params, y, p) for p in powers]
+    dmd = [0.0] * len(powers)
+    run = [i for i, v in enumerate(md) if v is None]
+    if run:
+        vals, slopes = _trapezoid_md(params, y, [powers[i] for i in run], slope)
+        for i, v, d in zip(run, vals, slopes):
+            md[i], dmd[i] = v, d
+    return (np.array(md), np.array(dmd)) if slope else np.array(md)
+
+
+def _trapezoid_md(params: SystemParams, y: float, powers: list, slope: bool):
+    """md and, with slope, d md / d ln p_b at powers 0 < p_b < inf, as lists.
+
+    md = integral of h(z) phi(z + ln c) dz with c = sigma0_sq / (rho omega_e);
+    the trapezoid rule on the nested grids z_j = j 2^-level converges
+    exponentially for this analytic, doubly exponentially decaying
+    integrand. The grids do not depend on p_b, so at each level the h
+    blocks that the pending powers' windows cover are fetched once, and
+    each power sums its own window of them exactly as it would alone. A
+    power leaves at the first level that agrees with the one before it.
+    The slope is -step sum_j h(z_j) phi(w_j) (1 - e^w_j), w_j = z_j + ln c.
+    """
     s0 = float(params.q * params.L)
     kl = float(params.k * params.L)
-    ln_c = _log_c(params)
+    p0 = _shape(s0, y, 0)
+    ln_c = [_log_c(params, p) for p in powers]
+    md = [0.0] * len(powers)
+    dmd = [0.0] * len(powers)
+    pending = list(range(len(powers)))
+    last = {}
     for level in range(_LEVEL_START, _LEVEL_MAX + 1):
         step = 2.0**-level
-        j_lo = math.ceil((_W_LO - ln_c) / step)
-        j_hi = math.floor((_W_HI - ln_c) / step)
-        b_lo = j_lo // _BLOCK
-        h = np.concatenate(
-            [
-                _cond_md_block(s0, kl, y, level, b)
-                for b in range(b_lo, j_hi // _BLOCK + 1)
-            ]
-        )[j_lo - b_lo * _BLOCK : j_hi - b_lo * _BLOCK + 1]
-        w = np.arange(j_lo, j_hi + 1) * step + ln_c
-        f = h * np.exp(w - np.exp(w))
-        fine = step * float(f.sum())
-        # the even-j nodes are the grid one level coarser
-        coarse = 2.0 * step * float(f[j_lo % 2 :: 2].sum())
-        if abs(fine - coarse) <= _TRAP_REL_TOL * fine:
-            return min(fine, _shape(s0, y, 0))
+        # the nodes of every pending window: j in [lo, hi) where
+        # lo = ceil((_W_LO - ln c) / step) and hi = floor((_W_HI - ln c) / step) + 1
+        cs = [ln_c[i] for i in pending]
+        base = math.ceil((_W_LO - max(cs)) / step) // _BLOCK * _BLOCK
+        top = math.floor((_W_HI - min(cs)) / step) // _BLOCK + 1
+        h = np.concatenate([_cond_md_block(s0, kl, y, level, b) for b in range(base // _BLOCK, top)])
+        still = []
+        for i, c in zip(pending, cs):
+            lo = math.ceil((_W_LO - c) / step)
+            hi = math.floor((_W_HI - c) / step) + 1
+            # the nodes z_j = j step come out exact (a power-of-two step), so
+            # z_j + ln c rounds once, as it does in a lone call
+            w = np.arange(lo * step, hi * step, step) + c
+            ew = np.exp(w)
+            f = h[lo - base : hi - base] * np.exp(w - ew)
+            fine = step * float(np.add.reduce(f))
+            # the even-j nodes are the grid one level coarser
+            coarse = 2.0 * step * float(np.add.reduce(f[lo % 2 :: 2]))
+            # phi keeps about 6e-19 of its mass outside [_W_LO, _W_HI], so
+            # two levels need not agree more closely than 1e-18
+            if abs(fine - coarse) <= _TRAP_REL_TOL * fine + 1e-18:
+                md[i] = min(fine, p0)
+                if slope:
+                    dmd[i] = -step * float(np.add.reduce(f * (1.0 - ew)))
+            else:
+                still.append(i)
+                last[i] = (fine, f.size)
+        if not still:
+            return md, dmd
+        pending = still
+    i = pending[0]
     raise ConvergenceError(
         f"trapezoid gain average not converged at level {_LEVEL_MAX} "
-        f"(q={params.q}, L={params.L}, k={params.k}, p_b={params.p_b})",
-        partial=fine,
-        terms=f.size,
+        f"(q={params.q}, L={params.L}, k={params.k}, p_b={powers[i]})",
+        partial=last[i][0],
+        terms=last[i][1],
     )
 
 
@@ -259,7 +323,7 @@ def _avg_md_series(params: SystemParams, y: float, ctl: SeriesControl) -> float:
     s0 = float(params.q * params.L)
     kl = float(params.k * params.L)
     p0 = _shape(s0, y, 0)
-    lc = _log_c(params)
+    lc = _log_c(params, params.p_b)
     if lc > 709.0:
         return p0  # c overflows: md is its p_b -> 0 limit P(qL, y)
     c = math.exp(lc)
@@ -288,27 +352,23 @@ def miss_detection_prob(
 
     method "quadrature" (the default) integrates the conditional miss
     against the gain density by the trapezoid rule in log gain, refining
-    the grid until two successive levels agree to 1e-7 relative (the
-    accepted level is then good to about 1e-13); it raises
+    the grid until two successive levels agree to 1e-7 relative or 1e-18
+    absolute (the accepted level is then good to about 1e-13 relative or
+    1e-18 absolute, whichever is larger: 6e-19 of the gain density's mass
+    lies outside the grid's window); it raises
     ConvergenceError, with the last sum as its partial value, if the
     finest level does not get there. ctl is not used by this route.
     method "series" sums the closed-form mixture whose weights involve
     the Tricomi U function, truncated at ctl.rel_tol.
     """
-    ctl = ctl or DEFAULT_SERIES_CONTROL
-    s2 = params.sigma0_sq
-    y = params.effective_threshold / s2
-    if y == 0.0:
-        return 0.0
-    if math.isinf(y):
-        # the statistic is almost surely finite
-        return 1.0
-    if params.p_b == 0.0:
-        return reg_gamma_lower(params.q * params.L, y)
+    y = params.effective_threshold / params.sigma0_sq
+    md = _md_limit(params, y, params.p_b)
+    if md is not None:
+        return md
     if method == "quadrature":
-        return _avg_md_quadrature(params, y)
+        return _trapezoid_md(params, y, [params.p_b], False)[0][0]
     if method == "series":
-        return _avg_md_series(params, y, ctl)
+        return _avg_md_series(params, y, ctl or DEFAULT_SERIES_CONTROL)
     raise ValueError(f"unknown method {method!r}, expected 'quadrature' or 'series'")
 
 

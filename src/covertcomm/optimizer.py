@@ -7,6 +7,17 @@ power: rtp rises with p, dep falls with p, so the feasible set is an
 interval [p_low, p_up] and the rate-optimal choice sits at its top. The
 user-capacity question then asks for the largest number of occupied
 slots k for which that interval is non-empty.
+
+p_up is the float that geometric bisection on dep returns, found with
+far fewer dep evaluations. One call of the shared-node miss kernel
+screens the whole power grid; Newton's method in ln p, which the kernel
+also gives the slope for, locates the crossing p* inside the screen's
+bracket. The bisection then walks its usual midpoints but decides each
+one by its side of p*, and calls dep only for midpoints next to p* and
+for the two ends it stops at. A solve that reaches the bisection makes
+about 6 evaluations (one screen, three or four Newton steps, two dep
+checks) where the plain solver made about 37 dep calls; one that the
+screen settles makes 1 instead of 16.
 """
 
 import math
@@ -14,8 +25,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import covert_rate, dep, rtp
+from .analytic import _md_many, covert_rate, dep, false_alarm_prob, rtp
 from .params import SystemParams
+from .specfun import ConvergenceError
+
+# Newton in ln p stops after a step this small; the next iterate is then
+# within about its square of the crossing
+_NEWTON_STEP_TOL = 1e-6
+_NEWTON_MAX = 40
+# the walk calls dep for midpoints within this distance of p* in ln p, or
+# within the distance over which dep's own error (about 1e-13 relative or
+# 1e-18 absolute, kept here with a tenfold margin) could flip a decision
+_NEAR = 1e-8
+_DEP_ERR_REL, _DEP_ERR_ABS = 1e-12, 1e-17
 
 
 class InfeasibleError(ValueError):
@@ -94,9 +116,18 @@ def power_upper_bound(
     bisecting (geometric midpoints, relative width tol). Returns p_max
     when even the full range stays covert; raises InfeasibleError when
     not even p_min does.
+
+    The result is the float that plain bisection on dep gives, from
+    about 6 evaluations instead of about 37: the screen is one kernel
+    call, Newton finds the crossing in a few more, and the walk skips dep
+    at every midpoint whose side of the crossing is clear. It checks the
+    bracket it ends with, and if that check fails it bisects the
+    screen's bracket again with dep at every midpoint.
     """
     if not (0.0 < p_min < p_max):
         raise ValueError(f"need 0 < p_min < p_max, got [{p_min}, {p_max}]")
+    if not math.isfinite(p_max):
+        raise ValueError(f"need a finite p_max, got {p_max}")
     if not tol > 0.0:
         raise ValueError(f"tol must be > 0, got {tol}")
     if screen_points < 2:
@@ -105,14 +136,13 @@ def power_upper_bound(
     target = 1.0 - params.eps_e
 
     grid = np.geomspace(p_min, p_max, screen_points)
-    deps = [dep(params.with_(p_b=float(p))) for p in grid]
+    deps = false_alarm_prob(params) + _md_many(params, grid)
     slack = 1e-7
-    for a, b in zip(deps, deps[1:]):
-        if b > a + slack:
-            raise MonotonicityError(
-                "dep is not non-increasing in power on the screening grid; "
-                "bisection would be unsound for these parameters"
-            )
+    if np.any(deps[1:] > deps[:-1] + slack):
+        raise MonotonicityError(
+            "dep is not non-increasing in power on the screening grid; "
+            "bisection would be unsound for these parameters"
+        )
 
     if deps[0] < target:
         raise InfeasibleError(
@@ -123,15 +153,69 @@ def power_upper_bound(
         return p_max
 
     # innermost screening bracket around the crossing
-    hi_idx = next(i for i, d in enumerate(deps) if d < target)
+    hi_idx = int(np.argmax(deps < target))
     lo = float(grid[hi_idx - 1])
     hi = float(grid[hi_idx])
+    guess = _crossing(params, target, lo, hi, float(deps[hi_idx - 1]), float(deps[hi_idx]))
+    p_up = None if guess is None else _bisect(params, target, lo, hi, tol, guess)
+    return _bisect(params, target, lo, hi, tol) if p_up is None else p_up
+
+
+def _crossing(params, target, lo, hi, dep_lo, dep_hi):
+    """(p*, margin): where dep crosses target in the bracket [lo, hi].
+
+    Newton's method in u = ln p starts from the bracket's log-linear
+    interpolation. Each iterate shrinks the bracket to its side, and a
+    step that would leave the bracket is replaced by the bracket's
+    midpoint. margin is how far from p*, in ln p, a midpoint must lie
+    for its side of p* to decide it. None when Newton does not settle.
+    """
+    fa = false_alarm_prob(params)
+    a, b = math.log(lo), math.log(hi)
+    u = a + (dep_lo - target) / (dep_lo - dep_hi) * (b - a)
+    for _ in range(_NEWTON_MAX):
+        try:
+            md, slope = _md_many(params, [math.exp(u)], slope=True)
+        except ConvergenceError:
+            return None  # the plain walk then raises where bisection on dep would
+        g = fa + float(md[0]) - target
+        s = float(slope[0])
+        if g >= 0.0:
+            a = u
+        else:
+            b = u
+        step = g / s if s < 0.0 else math.inf
+        if not a <= u - step <= b:
+            u = 0.5 * (a + b)
+        elif abs(step) <= _NEWTON_STEP_TOL:
+            err = _DEP_ERR_REL * target + _DEP_ERR_ABS
+            return math.exp(u - step), max(_NEAR, err / -s)
+        else:
+            u -= step
+    return None
+
+
+def _bisect(params, target, lo, hi, tol, guess=None):
+    """Geometric bisection of [lo, hi], dep(lo) >= target > dep(hi), to hi / lo - 1 <= tol.
+
+    With guess = (p*, margin), a midpoint more than margin from p* in
+    ln p counts as covert when it lies below p*, without a dep call; the
+    ends decided that way are checked with dep when the walk stops, and
+    None comes back if either check fails.
+    """
+    lo_exact = hi_exact = True
     while hi / lo - 1.0 > tol:
         mid = math.sqrt(lo * hi)
-        if dep(params.with_(p_b=mid)) >= target:
-            lo = mid
+        exact = guess is None or abs(math.log(mid / guess[0])) <= guess[1]
+        covert = (dep(params.with_(p_b=mid)) >= target) if exact else mid < guess[0]
+        if covert:
+            lo, lo_exact = mid, exact
         else:
-            hi = mid
+            hi, hi_exact = mid, exact
+    if not lo_exact and not dep(params.with_(p_b=lo)) >= target:
+        return None
+    if not hi_exact and dep(params.with_(p_b=hi)) >= target:
+        return None
     return lo
 
 

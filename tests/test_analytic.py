@@ -371,3 +371,45 @@ def test_false_alarm_cached_per_threshold(monkeypatch):
         y = p.effective_threshold / p.sigma0_sq
         assert false_alarm_prob(p) == reg_gamma_upper(p.q * p.L, y)
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("method", ["quadrature", "series"])
+def test_infinite_power_is_the_limit(method):
+    # the occupied slots' energy is infinite, so the warden never misses
+    for params in (_BASE.with_(p_b=math.inf), _BASE.with_(k=64, p_b=math.inf, gamma_e=3.0)):
+        assert miss_detection_prob(params, method) == 0.0
+        assert dep(params, method) == false_alarm_prob(params)
+
+
+def test_quadrature_converges_at_very_high_power():
+    # md falls below the ~6e-19 of gain density outside the trapezoid
+    # window here, so only the absolute part of the stop rule can be met
+    deps = [dep(_BASE.with_(p_b=float(p))) for p in np.geomspace(1e15, 1e40, 80)]
+    assert all(math.isfinite(d) for d in deps)
+    assert all(b <= a for a, b in zip(deps, deps[1:]))
+    for p_b in (1e18, 1e20):
+        params = _BASE.with_(p_b=p_b)
+        quad = miss_detection_prob(params)
+        assert abs(quad - miss_detection_prob(params, "series")) <= 6e-19
+
+
+def test_md_many_shares_nodes_bit_for_bit():
+    grid = np.geomspace(1e-6, 1e5, 16)
+    for k in (1, 64):
+        params = _BASE.with_(k=k)
+        # in order, reversed and with repeats: each value is the lone call's
+        powers = [*grid, *grid[::-1], 0.0, math.inf, grid[3]]
+        want = [miss_detection_prob(params.with_(p_b=float(p))) for p in powers]
+        assert analytic._md_many(params, powers).tolist() == want
+
+
+def test_md_many_slope_matches_finite_difference():
+    # powers where md falls steeply, around the covertness crossing
+    params = _BASE.with_(k=16)
+    for p_b in (1e3, 3e3, 1e4):
+        md, slope = analytic._md_many(params, [p_b], slope=True)
+        h = 1e-4
+        lo, hi = analytic._md_many(params, [p_b * math.exp(-h), p_b * math.exp(h)])
+        assert md[0] == miss_detection_prob(params.with_(p_b=p_b))
+        assert slope[0] < 0.0
+        assert slope[0] == pytest.approx((hi - lo) / (2.0 * h), rel=1e-6)

@@ -218,6 +218,45 @@ def test_power_bounds_large_k(capsys):
     assert all(a <= b for a, b in zip(ups, ups[1:]))
 
 
+def test_power_bounds_non_finite_p_max_fails_its_row(capsys):
+    code, out, err = _run(capsys, "power-bounds", "--k-range", "4", "--p-max", "inf")
+    assert code == 1
+    assert out == "k,p_low,p_up,feasible,p_star,rate_star\n4,nan,nan,false,nan,nan\n"
+    assert err == "row k=4 failed: ValueError: need a finite p_max, got inf\n"
+
+
+def test_power_bounds_screen_up_to_1e30(capsys):
+    # the screen passes 1e19..1e30, where md ~ 1e-15 and only the stop
+    # rule's 1e-18 absolute term can be met
+    code, out, err = _run(
+        capsys, "power-bounds", "--k-range", "4", "--p-max", "1e30", "--format", "json"
+    )
+    assert code == 0, err
+    (row,) = json.loads(out)
+    assert row["p_up"] == pytest.approx(3523.38, rel=1e-5)
+
+
+# sha256 of json.dumps([exit code, stdout, stderr]) for the design traffic
+# (all 64 power-bounds rows, and capacity on the q=8 instance at 6..16 dB),
+# as written before the screen shared one kernel call and Newton steered
+# the bisection: the solver must return the same floats
+_DESIGN_PINS = (
+    (("power-bounds", "--k-range", "1:64", "--p-max", "1e5", "--format", "json"),
+     "a5c5a0157a2f07123e210773507229e292bada172f24d840ca7e9bdcc7d6b547"),
+    (("capacity", "--snr-db", "6:16:11", "--eps-u-list", "0.05,0.1",
+      "--set", "q=8", "--set", "L=2", "--set", "m=2", "--format", "json"),
+     "83593d53fbf8b6274030632b17c8757f6b00ce31d6318dfec056710cbc31476d"),
+)
+
+
+@pytest.mark.parametrize("argv, digest", _DESIGN_PINS, ids=["power-bounds", "capacity"])
+def test_design_output_pinned(capsys, argv, digest):
+    code, out, err = _run(capsys, *argv)
+    assert code == 0, err
+    blob = json.dumps([code, out, err]).encode()
+    assert hashlib.sha256(blob).hexdigest() == digest
+
+
 def test_capacity_matches_library(capsys):
     code, out, _ = _run(
         capsys, "capacity", "--snr-db", "10,14", "--eps-u-list", "0.1",

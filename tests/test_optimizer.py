@@ -2,17 +2,23 @@
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from covertcomm.analytic import covert_rate, dep, rtp
+from covertcomm import analytic, optimizer
+from covertcomm.analytic import covert_rate, dep, false_alarm_prob, rtp
 from covertcomm.optimizer import (
     InfeasibleError,
+    MonotonicityError,
     max_users,
     optimal_power,
     power_lower_bound,
     power_upper_bound,
 )
 from covertcomm.params import SystemParams
+from covertcomm.specfun import ConvergenceError
 
 _BASE = SystemParams()  # eps_e = eps_u = 0.1
 _SMALL = SystemParams(m=2, k=2, q=8, L=2, gamma_e=2.0)
@@ -162,3 +168,144 @@ def test_max_users_scans_large_k_at_high_budget():
     assert all(math.isfinite(p) for p in ups)
     assert all(a <= b for a, b in zip(ups, ups[1:]))
     assert res.k_star == max(k for k, b in res.per_k if b.feasible)
+
+
+def _plain_upper_bound(params, p_min=1e-6, p_max=1e3, tol=1e-6, screen_points=16):
+    # reference: plain bisection, with dep at every screen point in order
+    # and at every midpoint
+    target = 1.0 - params.eps_e
+    grid = np.geomspace(p_min, p_max, screen_points)
+    deps = [dep(params.with_(p_b=float(p))) for p in grid]
+    if any(b > a + 1e-7 for a, b in zip(deps, deps[1:])):
+        raise MonotonicityError("not monotone")
+    if deps[0] < target:
+        raise InfeasibleError("infeasible")
+    if deps[-1] >= target:
+        return p_max
+    hi_idx = next(i for i, d in enumerate(deps) if d < target)
+    lo, hi = float(grid[hi_idx - 1]), float(grid[hi_idx])
+    while hi / lo - 1.0 > tol:
+        mid = math.sqrt(lo * hi)
+        if dep(params.with_(p_b=mid)) >= target:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except (InfeasibleError, MonotonicityError, ConvergenceError) as err:
+        return type(err).__name__
+
+
+@pytest.mark.parametrize("p_max", [math.inf, math.nan])
+def test_power_upper_bound_rejects_non_finite_range(p_max):
+    with pytest.raises(ValueError, match="p_max"):
+        power_upper_bound(_BASE, p_max=p_max)
+    with pytest.raises(ValueError, match="p_min"):
+        power_upper_bound(_BASE, p_min=math.inf, p_max=1e5)
+
+
+def test_screen_monotonicity_error_from_kernel(monkeypatch):
+    monkeypatch.setattr(
+        optimizer, "_md_many", lambda params, p_b, slope=False: np.linspace(0.0, 0.5, len(p_b))
+    )
+    with pytest.raises(MonotonicityError):
+        power_upper_bound(_BASE, p_max=1e5)
+
+
+def _count_dep_calls(monkeypatch):
+    calls = []
+
+    def counted(params, *args, **kwargs):
+        calls.append(params.p_b)
+        return dep(params, *args, **kwargs)
+
+    monkeypatch.setattr(optimizer, "dep", counted)
+    return calls
+
+
+def test_screen_decides_infeasible_and_p_max_alone(monkeypatch):
+    calls = _count_dep_calls(monkeypatch)
+    with pytest.raises(InfeasibleError, match="already below"):
+        power_upper_bound(_BASE, p_min=1e4, p_max=1e5)
+    assert power_upper_bound(_BASE, p_max=100.0) == 100.0
+    assert calls == []
+
+
+def test_walk_checks_only_its_ends(monkeypatch):
+    calls = _count_dep_calls(monkeypatch)
+    p_up = power_upper_bound(_BASE, p_max=1e5)
+    assert p_up == _plain_upper_bound(_BASE, p_max=1e5)
+    assert 1 <= len(calls) <= 3
+
+
+def test_walk_falls_back_when_the_crossing_is_off(monkeypatch):
+    crossing = optimizer._crossing
+    walks = []
+    bisect = optimizer._bisect
+
+    def off(*args):
+        p_star, margin = crossing(*args)
+        return p_star * (1.0 + 1e-3), margin
+
+    def recorded(*args):
+        walks.append(args[5] if len(args) > 5 else None)
+        return bisect(*args)
+
+    monkeypatch.setattr(optimizer, "_crossing", off)
+    monkeypatch.setattr(optimizer, "_bisect", recorded)
+    for k in (1, 4, 64):
+        walks.clear()
+        params = _BASE.with_(k=k)
+        assert power_upper_bound(params, p_max=1e5) == _plain_upper_bound(params, p_max=1e5)
+        # the steered walk ends on the wrong side, so the plain walk reruns
+        assert len(walks) == 2 and walks[0] is not None and walks[1] is None
+
+
+def test_screen_convergence_error_names_first_failing_power(monkeypatch):
+    # with only the first trapezoid level allowed, the higher powers fail
+    monkeypatch.setattr(analytic, "_LEVEL_MAX", analytic._LEVEL_START)
+    params = _BASE.with_(k=64)
+    with pytest.raises(ConvergenceError) as want:
+        _plain_upper_bound(params, p_max=1e6)
+    with pytest.raises(ConvergenceError) as got:
+        power_upper_bound(params, p_max=1e6)
+    assert str(got.value) == str(want.value)
+    assert got.value.partial == want.value.partial
+    assert got.value.terms == want.value.terms
+
+
+@st.composite
+def _operating_points(draw):
+    q = draw(st.sampled_from([2, 4, 8, 16, 64]))
+    L = draw(st.sampled_from([1, 2, 4, 8]))
+    g = draw(st.floats(1.2, 3.0))
+    raw = draw(st.booleans())
+    params = SystemParams(
+        q=q,
+        L=L,
+        k=draw(st.integers(1, q)),
+        m=draw(st.integers(1, 4)),
+        gamma_e=g * q * L if raw else g,
+        threshold_mode="raw" if raw else "per_sample_normalized",
+        eps_e=draw(st.floats(1e-3, 0.5)),
+    )
+    p_min = 10.0 ** draw(st.integers(-6, 0))
+    p_max = 10.0 ** draw(st.integers(1, 6))
+    return params, p_min, p_max
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_operating_points(), st.lists(st.floats(-6.0, 8.0), min_size=1, max_size=6))
+def test_walk_matches_plain_bisection(point, log_powers):
+    params, p_min, p_max = point
+    assert _outcome(power_upper_bound, params, p_min, p_max) == _outcome(
+        _plain_upper_bound, params, p_min, p_max
+    )
+    powers = [10.0**e for e in log_powers]
+    fa = false_alarm_prob(params)
+    got = (fa + optimizer._md_many(params, powers)).tolist()
+    assert got == [dep(params.with_(p_b=p)) for p in powers]
