@@ -12,6 +12,7 @@ reproducible for a given (seed, stream) pair and lets sweeps hand out
 disjoint substreams without coordination.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -166,9 +167,9 @@ def simulate_rtp(params, trials: int, rng: RngSpec) -> EstimateWithError:
 
 
 def simulate_rate(params, p: float, trials: int, rng: RngSpec) -> EstimateWithError:
-    """Estimate the ergodic rate E[log2(1 + beta h)] at transmit power p."""
-    if not p > 0.0:
-        raise ValueError(f"transmit power must be > 0, got {p!r}")
+    """Estimate the ergodic rate E[log2(1 + beta h)] at finite transmit power p > 0."""
+    if not 0.0 < p < math.inf:
+        raise ValueError(f"transmit power p must be finite and > 0, got {p!r}")
     trials = _check_trials(trials)
     gen = rng.generator()
     beta = params.m * p / (params.k * params.sigma0_sq)

@@ -25,7 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import _md_many, covert_rate, dep, false_alarm_prob, rtp
+# rtp is never called here; perfbench's design workload traces optimizer.rtp by name
+from .analytic import _DEP_ERR_ABS, _DEP_ERR_REL, _md_many, covert_rate, dep, false_alarm_prob, rtp
 from .params import SystemParams
 from .specfun import ConvergenceError
 
@@ -34,10 +35,9 @@ from .specfun import ConvergenceError
 _NEWTON_STEP_TOL = 1e-6
 _NEWTON_MAX = 40
 # the walk calls dep for midpoints within this distance of p* in ln p, or
-# within the distance over which dep's own error (about 1e-13 relative or
-# 1e-18 absolute, kept here with a tenfold margin) could flip a decision
+# within the distance over which dep's own error (_DEP_ERR_REL relative,
+# _DEP_ERR_ABS absolute) could flip a decision
 _NEAR = 1e-8
-_DEP_ERR_REL, _DEP_ERR_ABS = 1e-12, 1e-17
 
 
 class InfeasibleError(ValueError):

@@ -55,13 +55,12 @@ class SystemParams:
         # noise-only law there.
         if not self.p_b >= 0.0:
             raise ValueError(f"p_b must be >= 0, got {self.p_b}")
-        if not self.sigma0_sq > 0.0:
-            raise ValueError(f"sigma0_sq must be > 0, got {self.sigma0_sq}")
-        if not (self.omega_e > 0.0 and self.omega_u > 0.0):
-            raise ValueError(
-                f"fading means must be > 0, got omega_e={self.omega_e}, "
-                f"omega_u={self.omega_u}"
-            )
+        # p_b = inf stays allowed (dep = fa there), but an infinite noise
+        # floor or fading mean has no limit the model defines
+        for name in ("sigma0_sq", "omega_e", "omega_u"):
+            v = getattr(self, name)
+            if not 0.0 < v < math.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {v}")
         if not (self.gamma_e >= 0.0 and self.gamma_u >= 0.0):
             raise ValueError(
                 f"thresholds must be >= 0, got gamma_e={self.gamma_e}, "

@@ -91,6 +91,46 @@ def test_miss_detection_conditional_defaults(g, ref):
     assert got == pytest.approx(ref, rel=1e-10)
 
 
+# rho g / sigma0_sq from 1e9 to 5e15, where 1 - x keeps few of x's digits:
+# (q, L, k, m, p_b, g, P_MD|g) against mpmath at 150 digits, from the
+# convolution of the two Gamma energies
+_COND_HIGH_POWER_CASES = [
+    (8, 2, 2, 4, 1e16, 4.0, 1.24922665531122e-59),
+    (16, 4, 1, 4, 1e14, 1.0, 6.28723329700529e-46),
+    (8, 2, 2, 4, 1e10, 1.0, 3.19802018245747e-33),
+]
+
+
+@pytest.mark.parametrize("q,L,k,m,p_b,g,ref", _COND_HIGH_POWER_CASES)
+def test_miss_detection_conditional_at_high_power(q, L, k, m, p_b, g, ref):
+    got = miss_detection_conditional(SystemParams(q=q, L=L, k=k, m=m, p_b=p_b), g)
+    # abs=0: approx would otherwise accept anything within 1e-12 of these
+    assert got == pytest.approx(ref, rel=1e-13, abs=0.0)
+
+
+def test_miss_detection_conditional_infinite_edges():
+    # x = rho g / (rho g + sigma0_sq) rounds to 1 here
+    assert miss_detection_conditional(_BASE.with_(p_b=1e19), 1.0) == 0.0
+    # infinite received power: the warden never misses
+    assert miss_detection_conditional(_SMALL, math.inf) == 0.0
+    assert miss_detection_conditional(_SMALL.with_(p_b=math.inf), 1.0) == 0.0
+    # one factor 0 and the other inf: no received power, not 0 * inf = nan
+    noise_only = reg_gamma_lower(16, 32.0)
+    assert miss_detection_conditional(_SMALL.with_(p_b=math.inf), 0.0) == noise_only
+    assert miss_detection_conditional(_SMALL.with_(p_b=0.0), math.inf) == noise_only
+
+
+@pytest.mark.parametrize("edge", [{"p_b": 0.0}, {"p_b": math.inf}, {"gamma_e": 0.0}])
+def test_unknown_method_raises_at_domain_edges(edge):
+    with pytest.raises(ValueError, match="unknown method"):
+        miss_detection_prob(SystemParams(**edge), "bogus")
+
+
+def test_rtp_at_infinite_decoding_threshold():
+    # gamma_u = inf stays allowed, as p_b and gamma_e = inf do: no power decodes
+    assert rtp(_BASE.with_(gamma_u=math.inf)) == 0.0
+
+
 def test_miss_detection_conditional_edges():
     # zero gain or zero power: the statistic is pure noise
     fa_complement = 1.0 - false_alarm_prob(_SMALL)
@@ -198,6 +238,12 @@ def test_covert_rate_against_reference(p, ref):
 def test_covert_rate_rejects_nonpositive_power():
     with pytest.raises(ValueError):
         covert_rate(_BASE, 0.0)
+
+
+@pytest.mark.parametrize("p", [math.inf, math.nan])
+def test_covert_rate_rejects_non_finite_power(p):
+    with pytest.raises(ValueError, match="power p must be finite"):
+        covert_rate(_BASE, p)
 
 
 def test_covert_rate_monotone_in_power():

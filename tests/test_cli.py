@@ -381,6 +381,14 @@ def test_validate_detects_broken_tolerance(capsys):
     assert report["n_failed"] >= 1
 
 
+@pytest.mark.parametrize("key", ["sigma0_sq", "omega_e", "omega_u"])
+def test_non_finite_noise_floor_or_fading_mean_is_a_usage_error(capsys, key):
+    # rejected where it enters, not as a failed row
+    code, out, err = _run(capsys, "dep", "--set", f"{key}=inf",
+                          "--snr-db", "0", "--k-list", "4", "--trials", "200")
+    assert code == 2 and f"{key} must be finite" in err and out == ""
+
+
 def test_exit_codes(capsys, tmp_path):
     # domain error in a config value
     code, _, err = _run(capsys, "dep", "--set", "sigma0_sq=-1",

@@ -157,3 +157,8 @@ def test_rate_matches_closed_form():
 def test_rate_rejects_bad_power():
     with pytest.raises(ValueError):
         simulate_rate(_BASE, 0.0, trials=1000, rng=RngSpec(1, 0))
+
+
+def test_rate_rejects_infinite_power():
+    with pytest.raises(ValueError, match="power p must be finite"):
+        simulate_rate(_BASE, math.inf, trials=1000, rng=RngSpec(1, 0))

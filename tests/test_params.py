@@ -60,6 +60,12 @@ def test_rejects_bad_values(kwargs):
         SystemParams(**kwargs)
 
 
+@pytest.mark.parametrize("name", ["sigma0_sq", "omega_e", "omega_u"])
+def test_rejects_infinite_noise_floor_and_fading_means(name):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        SystemParams(**{name: math.inf})
+
+
 def test_admits_boundary_values():
     # eps = 1 encodes a vacuous constraint, p_b = 0 the signal-free limit
     p = SystemParams(eps_e=1.0, eps_u=1.0, p_b=0.0, gamma_u=0.0)
