@@ -137,7 +137,9 @@ def miss_detection_conditional(
     (g = 0 or p_b = 0) or an infinite one is a domain edge. Elsewhere the
     negative-binomial mixture of incomplete gamma terms is summed until
     the certified tail bound (remaining mixture mass times the next,
-    largest remaining P value) is negligible against the sum.
+    largest remaining P value) is negligible against the sum. Where
+    (1-x)^kL is below e^-700, the sum starts at the first weight of at
+    least e^-700 instead of at n = 0.
     """
     if not g >= 0.0:
         raise ValueError(f"channel gain must be >= 0, got {g!r}")
@@ -148,21 +150,51 @@ def miss_detection_conditional(
     if md is not None:
         return md
     rg = params.rho * g
-    kl = float(params.k * params.L)
-    # (1-x)^kL from log1p(rho g / sigma0_sq): log1p(-x) would keep only the
-    # absolute accuracy of x, and fail once x rounds to 1
-    lt0 = -kl * math.log1p(rg / s2)
-    if lt0 <= -745.0:
-        # Mixture mass sits beyond the table floor; the sum is 0 to
-        # double precision.
+    kl = params.k * params.L
+    start = _first_normal_weight(kl, rg / s2)
+    if start is None:
+        # every weight is below e^-700, so the sum is below (y + 1) e^-700
         return 0.0
+    n0, log_w0 = start
     x = rg / (rg + s2)
     weights = itertools.accumulate(
-        itertools.count(1), lambda t, n: t * (x * (kl + n - 1.0) / n), initial=math.exp(lt0)
+        itertools.count(n0 + 1), lambda t, n: t * (x * (kl + n - 1.0) / n),
+        initial=math.exp(log_w0),
     )
     ctl = ctl or DEFAULT_SERIES_CONTROL
     failure = f"conditional miss series did not converge (g={g})"
-    return _mixture_sum(float(params.q * params.L), y, weights, ctl, failure)
+    return _mixture_sum(float(params.q * params.L + n0), y, weights, ctl, failure)
+
+
+def _first_normal_weight(kl: int, r: float) -> tuple[int, float] | None:
+    """First n whose NB(kL, x) weight is >= e^-700 (_LOG_EXP_MIN), and its log.
+
+    r = x / (1-x). A running product started there carries no subnormal's
+    lost digits, and the weights it skips add less than n e^-700. They rise
+    up to the mode floor((kL - 1) r), so n is found by bisection below it;
+    None when even the mode's weight is smaller.
+    """
+    # (1-x)^kL from log1p(rho g / sigma0_sq): log1p(-x) would keep only the
+    # absolute accuracy of x, and fail once x rounds to 1
+    lt0 = -kl * math.log1p(r)
+    if lt0 >= _LOG_EXP_MIN:
+        return 0, lt0
+
+    def log_weight(n):
+        # log((kL)_n / n!) as a sum of log1p(n / j) over j < kL: an lgamma
+        # difference would keep lgamma(n)'s rounding error, about n ln n 1e-16,
+        # which is all of its digits by n ~ 1e17
+        log_binom = float(np.log1p(n / np.arange(1.0, kl)).sum())
+        return lt0 - n * math.log1p(1.0 / r) + log_binom
+
+    mode = (kl - 1) * r
+    if not mode < math.inf or log_weight(math.floor(mode)) < _LOG_EXP_MIN:
+        return None
+    lo, hi = 0, math.floor(mode)  # the weight at lo is below e^-700, at hi not
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if log_weight(mid) < _LOG_EXP_MIN else (lo, mid)
+    return hi, log_weight(hi)
 
 
 # phi(w) = exp(w - e^w) keeps less than 1e-18 of its mass outside this range
@@ -384,7 +416,8 @@ def rtp(params: SystemParams) -> float:
     """
     if params.gamma_u == 0.0:
         return 1.0
-    if params.p_b == 0.0:
+    if params.p_b == 0.0 or params.gamma_u == math.inf:
+        # no power decodes (p_b = inf would otherwise give inf / inf)
         return 0.0
     expo = (
         params.gamma_u

@@ -498,33 +498,25 @@ def _cmd_schedule(args) -> int:
     cfg = load_config(args.config, args.set)
     grid = cfg.grid_config()
     rows = []
-    trace_text = None
     for ep in range(args.episodes):
-        spec = montecarlo.RngSpec(args.seed, ep)
-        if ep == 0 and args.trace:
-            stats, occupancy = scheduler.run_episode_trace(grid, args.policy, spec)
-            lines = ["time_slot,freq_slot,occupant_tag"]
-            lines.extend(f"{t},{f},{tag}" for t, f, tag in occupancy.rows())
-            trace_text = "\n".join(lines) + "\n"
-        else:
-            stats = scheduler.run_episode(grid, args.policy, spec)
+        stats, occupancy = scheduler.run_episode_trace(
+            grid, args.policy, montecarlo.RngSpec(args.seed, ep)
+        )
+        if ep == 0:
+            first = occupancy
         rows.append({"episode": ep, **stats.as_dict()})
-    cols = [
-        "episode", "collisions", "jammer_hits", "hop_violations",
-        "blocks_delivered", "overloads", "pattern_entropy",
-    ]
-    _emit(_render(rows, cols, args.format), args.out)
-    if trace_text is not None:
+    stat_cols = [f.name for f in fields(scheduler.EpisodeStats)]
+    _emit(_render(rows, ["episode", *stat_cols], args.format), args.out)
+    if args.trace:
         with open(args.trace, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(trace_text)
+            fh.write("time_slot,freq_slot,occupant_tag\n")
+            fh.writelines(f"{t},{f},{tag}\n" for t, f, tag in first.rows())
     if args.stats_json:
         n = len(rows)
         summary = {
             "policy": args.policy,
             "episodes": n,
-            "means": {
-                c: sum(row[c] for row in rows) / n for c in cols[1:]
-            },
+            "means": {c: sum(row[c] for row in rows) / n for c in stat_cols},
         }
         with open(args.stats_json, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(json.dumps(summary, indent=2) + "\n")

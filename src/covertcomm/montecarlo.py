@@ -150,7 +150,7 @@ def simulate_rtp(params, trials: int, rng: RngSpec) -> EstimateWithError:
     gen = rng.generator()
     if params.gamma_u == 0.0:
         need = 0.0
-    elif params.p_b == 0.0:
+    elif params.p_b == 0.0 or params.gamma_u == math.inf:
         need = np.inf
     else:
         need = (

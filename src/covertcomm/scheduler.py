@@ -239,7 +239,8 @@ def decide(
     idle); no user is ever handed its own previous slot, and users of
     the same station never share a slot. occupied adds slots already
     claimed elsewhere this time slot (shared control matrix); excluded
-    adds per-user forbidden sets (block-distinct hopping).
+    adds per-user forbidden sets (block-distinct hopping). A -1 in prev,
+    occupied or excluded bans nothing.
 
     policy is "greedy_belief" (fill users with the least-suspect slots,
     ties to the lowest index), "random_hop" (uniform over admissible
@@ -314,6 +315,11 @@ def run_episode_trace(cfg: GridConfig, policy, rng: RngSpec):
     claimed. Overloads are tolerated: the affected users stay idle for
     that time slot and the overload counter advances.
 
+    The grid is the episode's only record: a time slot reads the previous
+    row (all -1 at t = 0), the current block's rows so far (block-distinct
+    hopping) and the earlier stations' entries of the row being written
+    (shared control matrix).
+
     Each time slot draws from the stream in this order: q uniforms for
     external traffic, then q sensing uniforms per station in index order
     (stations without users included), interleaved with the draws of
@@ -338,8 +344,7 @@ def run_episode_trace(cfg: GridConfig, policy, rng: RngSpec):
     station_beliefs = [BeliefState(probs=row) for row in beliefs.probs]
     # user index ranges per station
     bounds = np.concatenate([[0], np.cumsum(cfg.users_per_bs)]).tolist()
-    prev = np.full(n_users, -1, dtype=int)
-    block_used: list[set[int]] = [set() for _ in range(n_users)]
+    idle = np.full(n_users, -1, dtype=np.int32)
     overloads = 0
 
     for t in range(cfg.p):
@@ -349,11 +354,8 @@ def run_episode_trace(cfg: GridConfig, policy, rng: RngSpec):
         row[jam] = _SRC_JAMMER
         truth = row > 0
 
-        if cfg.distinct_within_block and t % cfg.L == 0:
-            block_used = [set() for _ in range(n_users)]
-
+        prev = grid.assignments[t - 1] if t else idle
         alloc = grid.assignments[t]
-        claimed: set[int] = set()
         if not draws_in_decide:
             obs = sense(np.broadcast_to(truth, beliefs.probs.shape), cfg, gen)
             beliefs.probs[:] = update_beliefs(beliefs, obs, cfg).probs
@@ -367,8 +369,10 @@ def run_episode_trace(cfg: GridConfig, policy, rng: RngSpec):
             lo, hi = bounds[b], bounds[b + 1]
             if hi == lo:
                 continue
-            excl = block_used[lo:hi] if cfg.distinct_within_block else None
-            occupied = claimed if cfg.shared_control_matrix else None
+            excl = None
+            if cfg.distinct_within_block:
+                excl = grid.assignments[t - t % cfg.L : t, lo:hi].T.tolist()
+            occupied = alloc[:lo].tolist() if cfg.shared_control_matrix else None
             try:
                 got = decide(
                     station_beliefs[b], prev[lo:hi], policy, gen,
@@ -378,13 +382,6 @@ def run_episode_trace(cfg: GridConfig, policy, rng: RngSpec):
                 got = err.assignment
                 overloads += int(np.count_nonzero(got < 0))
             alloc[lo:hi] = got
-            claimed.update(f for f in got.tolist() if f >= 0)
-
-        if cfg.distinct_within_block:
-            for u, f in enumerate(alloc.tolist()):
-                if f >= 0:
-                    block_used[u].add(f)
-        prev = alloc
 
     return _episode_stats(grid, cfg.L, overloads), grid
 

@@ -69,7 +69,8 @@ _SMALL = SystemParams(m=2, k=2, q=8, L=2, gamma_e=2.0)
 
 def test_false_alarm_against_reference():
     got = false_alarm_prob(_BASE)
-    assert got == pytest.approx(1.0306329691736318e-70, rel=1e-11)
+    # abs=0: approx would otherwise accept anything within 1e-12 of it
+    assert got == pytest.approx(1.0306329691736318e-70, rel=1e-11, abs=0.0)
 
 
 def test_false_alarm_monotone_in_threshold():
@@ -108,6 +109,23 @@ def test_miss_detection_conditional_at_high_power(q, L, k, m, p_b, g, ref):
     assert got == pytest.approx(ref, rel=1e-13, abs=0.0)
 
 
+# (1 - x)^kL below e^-700, where the negative-binomial product starts at its
+# first normal weight: (q, L, k, m, gamma_e, p_b, g, P_MD|g) with k = q, so
+# P_MD|g = P(qL, y / (1 + rho g / sigma0_sq)), from mpmath at 40 digits
+_COND_SMALL_FIRST_WEIGHT_CASES = [
+    (64, 16, 64, 4, 3.0, 32768.0, 1.0, 0.5041556712508655),
+    (16, 4, 16, 4, 5.0, 5e7, 0.5, 7.650558402951556e-249),
+]
+
+
+@pytest.mark.parametrize("q,L,k,m,gamma_e,p_b,g,ref", _COND_SMALL_FIRST_WEIGHT_CASES)
+def test_miss_detection_conditional_small_first_weight(q, L, k, m, gamma_e, p_b, g, ref):
+    got = miss_detection_conditional(
+        SystemParams(q=q, L=L, k=k, m=m, gamma_e=gamma_e, p_b=p_b), g
+    )
+    assert got == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
 def test_miss_detection_conditional_infinite_edges():
     # x = rho g / (rho g + sigma0_sq) rounds to 1 here
     assert miss_detection_conditional(_BASE.with_(p_b=1e19), 1.0) == 0.0
@@ -129,6 +147,8 @@ def test_unknown_method_raises_at_domain_edges(edge):
 def test_rtp_at_infinite_decoding_threshold():
     # gamma_u = inf stays allowed, as p_b and gamma_e = inf do: no power decodes
     assert rtp(_BASE.with_(gamma_u=math.inf)) == 0.0
+    # not even p_b = inf, where the exponent would be inf / inf
+    assert rtp(_BASE.with_(gamma_u=math.inf, p_b=math.inf)) == 0.0
 
 
 def test_miss_detection_conditional_edges():

@@ -2,14 +2,15 @@
 
 A hypothesis sweep draws every field, both threshold modes and any k in
 [1, q], with p_b from 0 up to 1e30, the range the CLI's power grids
-reach. Every probability must come back finite and in [0, 1], or raise
-ConvergenceError (the shape-table cap); pytest turns a RuntimeWarning
-into an error, so a nan or inf that numpy only warns about fails too.
+reach, and infinity. Every probability must come back finite and in
+[0, 1], or raise ConvergenceError (the shape-table cap); pytest turns a
+RuntimeWarning into an error, so a nan or inf that numpy only warns
+about fails too.
 """
 
 import math
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from covertcomm.analytic import (
@@ -20,7 +21,7 @@ from covertcomm.analytic import (
     rtp,
 )
 from covertcomm.params import THRESHOLD_MODES, SystemParams
-from covertcomm.specfun import ConvergenceError
+from covertcomm.specfun import ConvergenceError, reg_gamma_lower
 
 
 def _log_uniform(lo, hi, below=None, above=None):
@@ -33,7 +34,7 @@ def _log_uniform(lo, hi, below=None, above=None):
     )
 
 
-_POWERS = _log_uniform(1e-8, 1e30, below=0.0)
+_POWERS = _log_uniform(1e-8, 1e30, below=0.0, above=math.inf)
 _GAINS = _log_uniform(1e-6, 1e6, below=0.0, above=math.inf)
 
 
@@ -55,7 +56,7 @@ def _params(draw):
         omega_e=draw(_log_uniform(1e-3, 1e3)),
         omega_u=draw(_log_uniform(1e-3, 1e3)),
         gamma_e=ratio * q * L * sigma0_sq if mode == "raw" else ratio,
-        gamma_u=draw(st.just(0.0) | _log_uniform(1e-3, 1e3)),
+        gamma_u=draw(st.just(0.0) | _log_uniform(1e-3, 1e3, above=math.inf)),
         eps_e=draw(st.floats(1e-6, 1.0)),
         eps_u=draw(st.floats(1e-6, 1.0)),
         threshold_mode=mode,
@@ -74,6 +75,8 @@ def _probability(f, *args):
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(_params(), _GAINS, st.lists(_POWERS, min_size=1, max_size=4))
+# both infinite edges at once, which the draws rarely pair: rtp's exponent is inf / inf
+@example(SystemParams(gamma_u=math.inf, p_b=math.inf), 1.0, [1.0, math.inf])
 def test_probabilities_over_the_domain(params, g, powers):
     fa = _probability(false_alarm_prob, params)
     _probability(rtp, params)
@@ -86,3 +89,24 @@ def test_probabilities_over_the_domain(params, g, powers):
     deps = [_probability(dep, params.with_(p_b=p)) for p in sorted(powers)]
     deps = [d for d in deps if d is not None]
     assert all(b <= a + 1e-12 for a, b in zip(deps, deps[1:])), (sorted(powers), deps)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    st.sampled_from([8, 16, 64]),
+    st.sampled_from([2, 4, 8, 16]),
+    st.integers(1, 8),
+    st.floats(0.5, 8.0),
+    _log_uniform(1e-2, 1e8),
+    _log_uniform(1e-3, 1e3),
+)
+def test_conditional_miss_with_every_slot_occupied(q, L, m, gamma_e, p_b, g):
+    # with k = q the statistic is Gamma(qL, rho g + sigma0_sq), so the mixture
+    # sums to P(qL, y / (1 + rho g / sigma0_sq)); this reaches (1 - x)^kL far
+    # below e^-700, where the sum starts past its first weights
+    params = SystemParams(q=q, L=L, k=q, m=m, gamma_e=gamma_e, p_b=p_b)
+    y = params.effective_threshold / params.sigma0_sq
+    want = reg_gamma_lower(q * L, y / (1.0 + params.rho * g / params.sigma0_sq))
+    got = miss_detection_conditional(params, g)
+    if want >= 1e-280:
+        assert abs(got - want) <= 1e-10 * want, (params, g, got, want)

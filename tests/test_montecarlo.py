@@ -146,6 +146,10 @@ def test_rtp_edges():
     assert est.mean == 1.0 and est.std_error == 0.0
     est = simulate_rtp(_BASE.with_(p_b=0.0), trials=1000, rng=RngSpec(3, 1))
     assert est.mean == 0.0
+    est = simulate_rtp(
+        _BASE.with_(gamma_u=math.inf, p_b=math.inf), trials=1000, rng=RngSpec(3, 2)
+    )
+    assert est.mean == 0.0
 
 
 def test_rate_matches_closed_form():

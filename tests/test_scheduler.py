@@ -399,6 +399,14 @@ _IDLE_STATION = GridConfig(
     jammed_slots=frozenset({1, 9}), external_occupancy_prob=0.05,
     sense_miss_prob=0.15, sense_fa_prob=0.1, shared_control_matrix=True,
 )
+# both coordination rules at once, on a grid small enough to overload:
+# the exclusions then hold idle (-1) entries of unplaced users
+_BOTH_RULES = GridConfig(
+    q=6, p=240, L=4, m=3, users_per_bs=(2, 1, 2),
+    jammed_slots=frozenset({3}), external_occupancy_prob=0.05,
+    sense_miss_prob=0.2, sense_fa_prob=0.1,
+    distinct_within_block=True, shared_control_matrix=True,
+)
 _INDEPENDENT = GridConfig(
     q=16, p=300, L=4, m=3, users_per_bs=(2, 1, 2),
     jammed_slots=frozenset({5}), external_occupancy_prob=0.05,
@@ -427,11 +435,16 @@ def _belief_weighted(beliefs, prev, gen):
          EpisodeStats(0, 16, 0, 364, 0, 3.666520368541972)),
         (_IDLE_STATION, RngSpec(2024, 5), RANDOM_HOP,
          EpisodeStats(0, 253, 0, 227, 0, 3.966797102836194)),
+        (_BOTH_RULES, RngSpec(2024, 7), GREEDY_BELIEF,
+         EpisodeStats(0, 120, 0, 222, 25, 2.41348151117553)),
+        (_BOTH_RULES, RngSpec(2024, 7), RANDOM_HOP,
+         EpisodeStats(0, 246, 0, 137, 15, 2.577861338058068)),
         (_INDEPENDENT, RngSpec(2024, 6), _belief_weighted,
          EpisodeStats(169, 34, 108, 174, 0, 3.901177382304501)),
     ],
     ids=["noisy-greedy", "noisy-random", "tight-greedy", "tight-random",
-         "idle-station-greedy", "idle-station-random", "custom-belief-draws"],
+         "idle-station-greedy", "idle-station-random", "both-rules-greedy",
+         "both-rules-random", "custom-belief-draws"],
 )
 def test_episode_golden(cfg, spec, policy, want):
     # pinned episode outcomes: any change to the order or number of
