@@ -13,6 +13,7 @@ disjoint substreams without coordination.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +21,14 @@ import numpy as np
 # keeps each array of draws near 8 MB regardless of block size; 48 MB
 # arrays measured slower, each one a fresh mapping whose pages fault in
 _CHUNK_FLOATS = 1_000_000
+
+
+def _integer(name: str, value) -> int:
+    """value as a Python int; a float or other non-integral type is refused."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -35,9 +44,9 @@ class RngSpec:
     stream: int = 0
 
     def __post_init__(self):
-        if not 0 <= int(self.seed) < 2**64:
+        if not 0 <= _integer("seed", self.seed) < 2**64:
             raise ValueError(f"seed must be a 64-bit unsigned int, got {self.seed!r}")
-        if int(self.stream) < 0:
+        if _integer("stream", self.stream) < 0:
             raise ValueError(f"stream must be >= 0, got {self.stream!r}")
 
     def generator(self) -> np.random.Generator:

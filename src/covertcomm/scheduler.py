@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .montecarlo import RngSpec
+from .montecarlo import RngSpec, _integer
 
 FREE = "free"
 JAMMER = "jammer"
@@ -27,6 +27,9 @@ _SRC_FREE = 0
 _SRC_JAMMER = 1
 _SRC_EXTERNAL = 2
 _SRC_TAGS = (FREE, JAMMER, EXTERNAL)
+
+# doubles per greedy_belief draw in an episode (256 KB)
+_RUN_FLOATS = 1 << 15
 
 
 class OverloadError(RuntimeError):
@@ -59,12 +62,14 @@ class GridConfig:
     shared_control_matrix: bool = False
 
     def __post_init__(self):
+        for name in ("q", "p", "L", "m"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if self.q < 1 or self.p < 1 or self.L < 1 or self.m < 1:
             raise ValueError(
                 f"grid dimensions must be >= 1, got q={self.q}, p={self.p}, "
                 f"L={self.L}, m={self.m}"
             )
-        users = tuple(int(u) for u in self.users_per_bs)
+        users = tuple(_integer("users_per_bs entry", u) for u in self.users_per_bs)
         object.__setattr__(self, "users_per_bs", users)
         if len(users) != self.m:
             raise ValueError(
@@ -78,7 +83,7 @@ class GridConfig:
             )
         if self.L > self.p:
             raise ValueError(f"block length L={self.L} exceeds horizon p={self.p}")
-        jam = frozenset(int(f) for f in self.jammed_slots)
+        jam = frozenset(_integer("jammed_slots entry", f) for f in self.jammed_slots)
         object.__setattr__(self, "jammed_slots", jam)
         if any(not 0 <= f < self.q for f in jam):
             raise ValueError(f"jammed slots out of range [0, {self.q}): {sorted(jam)}")
@@ -189,9 +194,12 @@ def sense(truth: np.ndarray, cfg: GridConfig, rng) -> np.ndarray:
     """
     gen = _as_generator(rng)
     truth = np.asarray(truth, dtype=bool)
-    u = gen.random(truth.shape)
-    p_occ = np.where(truth, 1.0 - cfg.sense_miss_prob, cfg.sense_fa_prob)
-    return u < p_occ
+    return _seen(gen.random(truth.shape), truth, cfg)
+
+
+def _seen(u: np.ndarray, truth: np.ndarray, cfg: GridConfig) -> np.ndarray:
+    """The sensing rule on given uniforms; truth broadcasts against u."""
+    return u < np.where(truth, 1.0 - cfg.sense_miss_prob, cfg.sense_fa_prob)
 
 
 def update_beliefs(
@@ -220,8 +228,8 @@ def update_beliefs(
     ).take(observed.view(np.int8), axis=1)
     num = prior * like_occ
     den = num + (1.0 - prior) * like_free
-    post = np.divide(num, den, out=prior.copy(), where=den > 0.0)
-    return BeliefState(probs=post)
+    # where den is 0 the posterior keeps its prior
+    return BeliefState(probs=np.divide(num, den, out=prior, where=den > 0.0))
 
 
 def decide(
@@ -267,29 +275,14 @@ def decide(
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}, expected one of {POLICIES}")
 
-    taken: set[int] = set(occupied) if occupied else set()
+    order = None
     if policy == GREEDY_BELIEF:
-        slots = beliefs.probs.argsort(kind="stable").tolist()
-    picks = []
-    for u, prev_f in enumerate(prev.tolist()):
-        banned = taken | {prev_f}
-        if excluded is not None:
-            banned.update(excluded[u])
-        if policy == GREEDY_BELIEF:
-            f = next((f for f in slots if f not in banned), -1)
-        else:
-            # the i-th admissible slot, uniform over the admissible ones;
-            # banned may hold -1 (an idle previous slot or an unplaced user)
-            skip = sorted(f for f in banned if 0 <= f < q)
-            f = -1
-            if len(skip) < q:
-                f = int(gen.integers(q - len(skip)))
-                for b in skip:
-                    if b > f:
-                        break
-                    f += 1
-        picks.append(f)
-        taken.add(f)  # an unplaced user's -1 matches no slot
+        order = beliefs.probs.argsort(kind="stable").tolist()
+    picks = _pick(
+        order, frozenset(range(q)), prev.tolist(),
+        set(occupied) if occupied else set(),
+        [()] * n if excluded is None else excluded, gen,
+    )
     out = np.array(picks, dtype=int)
     unplaced = picks.count(-1)
     if unplaced:
@@ -297,6 +290,42 @@ def decide(
             f"{unplaced} of {n} users could not be placed", assignment=out
         )
     return out
+
+
+def _pick(order, slots, prev, taken, excluded, gen) -> list:
+    """The built-in picking rules: one slot per user of a station, in order.
+
+    order lists the slots best first (greedy_belief: the first one not
+    banned) or is None (random_hop: uniform over the ones not banned,
+    one draw per user with an admissible slot). slots is the frozenset
+    of all q slots. A user's banned slots are its previous slot prev[u],
+    the slots of excluded[u] and taken, the slots claimed so far this
+    time slot, which gains every pick. Values outside slots ban nothing.
+    An unplaced user gets -1.
+    """
+    picks = []
+    for u, prev_f in enumerate(prev):
+        excl = excluded[u]
+        if order is not None:
+            for f in order:
+                if f != prev_f and f not in taken and f not in excl:
+                    break
+            else:
+                f = -1
+        else:
+            # the i-th admissible slot: draw i, then step over the banned
+            # slots at or below it
+            skip = sorted({prev_f, *taken, *excl} & slots)
+            f = -1
+            if len(skip) < len(slots):
+                f = int(gen.integers(len(slots) - len(skip)))
+                for b in skip:
+                    if b > f:
+                        break
+                    f += 1
+        picks.append(f)
+        taken.add(f)  # an unplaced user's -1 matches no slot
+    return picks
 
 
 def _entropy_bits(counts: np.ndarray) -> float:
@@ -315,75 +344,92 @@ def run_episode_trace(cfg: GridConfig, policy, rng: RngSpec):
     claimed. Overloads are tolerated: the affected users stay idle for
     that time slot and the overload counter advances.
 
-    The grid is the episode's only record: a time slot reads the previous
-    row (all -1 at t = 0), the current block's rows so far (block-distinct
-    hopping) and the earlier stations' entries of the row being written
-    (shared control matrix).
+    The grid is the episode's only record. A time slot reads the previous
+    row (all -1 at t = 0) and the current block's rows so far
+    (block-distinct hopping) from it once, builds its own row as a list,
+    whose earlier stations' entries are the shared control matrix's
+    claims, and writes that row once.
 
     Each time slot draws from the stream in this order: q uniforms for
     external traffic, then q sensing uniforms per station in index order
     (stations without users included), interleaved with the draws of
-    decide for policies that draw. greedy_belief draws nothing in
-    decide, so all m stations sense and update their beliefs in one call
-    each; random_hop never reads beliefs, so it skips the update; a
-    custom policy senses, updates and decides station by station.
+    decide for policies that draw. greedy_belief draws nothing while it
+    picks, so a run of time slots takes all these uniforms in one call
+    (the same doubles in the same order), and its stations update their
+    beliefs together one time slot at a time; random_hop never reads
+    what it senses, so it only advances the stream by its sensing
+    uniforms; a custom policy senses, updates and decides station by
+    station. The built-in policies pick through the same routine as
+    decide.
     """
     if not (callable(policy) or policy in POLICIES):
         raise ValueError(f"unknown policy {policy!r}, expected one of {POLICIES}")
-    draws_in_decide = policy != GREEDY_BELIEF
-    reads_beliefs = policy != RANDOM_HOP
+    greedy = policy == GREEDY_BELIEF
+    custom = callable(policy)
     gen = rng.generator()
+    q, m, L = cfg.q, cfg.m, cfg.L
     n_users = cfg.k
-    grid = OccupancyGrid(cfg.q, cfg.p, n_users)
-    jam = np.zeros(cfg.q, dtype=bool)
+    grid = OccupancyGrid(q, cfg.p, n_users)
+    jam = np.zeros(q, dtype=bool)
     jam[list(cfg.jammed_slots)] = True
 
-    # one row per station; the per-station states are views of the rows,
-    # so updates are written back in place
-    beliefs = BeliefState(probs=np.full((cfg.m, cfg.q), 0.5))
+    # one row per station; a custom policy's stations update their own
+    # row in place through these views
+    beliefs = BeliefState(probs=np.full((m, q), 0.5))
     station_beliefs = [BeliefState(probs=row) for row in beliefs.probs]
+    orders = [None] * m  # random_hop ranks no slots
     # user index ranges per station
     bounds = np.concatenate([[0], np.cumsum(cfg.users_per_bs)]).tolist()
-    idle = np.full(n_users, -1, dtype=np.int32)
+    slots = frozenset(range(q))
+    idle = [-1] * n_users
+    no_bans = [()] * n_users
     overloads = 0
 
-    for t in range(cfg.p):
-        ext = gen.random(cfg.q) < cfg.external_occupancy_prob
-        row = grid.source[t]
-        row[ext] = _SRC_EXTERNAL
-        row[jam] = _SRC_JAMMER
-        truth = row > 0
-
-        prev = grid.assignments[t - 1] if t else idle
-        alloc = grid.assignments[t]
-        if not draws_in_decide:
-            obs = sense(np.broadcast_to(truth, beliefs.probs.shape), cfg, gen)
-            beliefs.probs[:] = update_beliefs(beliefs, obs, cfg).probs
-        for b in range(cfg.m):
-            if draws_in_decide:
-                obs = sense(truth, cfg, gen)
-                if reads_beliefs:
-                    beliefs.probs[b] = update_beliefs(
+    # time slots per draw: a bounded run under greedy_belief, so scratch
+    # memory does not grow with p
+    run = max(1, _RUN_FLOATS // ((m + 1) * q)) if greedy else 1
+    for t0 in range(0, cfg.p, run):
+        u = gen.random((min(run, cfg.p - t0), m + 1 if greedy else 1, q))
+        src = grid.source[t0 : t0 + len(u)]
+        src[u[:, 0] < cfg.external_occupancy_prob] = _SRC_EXTERNAL
+        src[:, jam] = _SRC_JAMMER
+        truth = src > 0
+        if greedy:
+            seen = _seen(u[:, 1:], truth[:, None], cfg)
+        for t in range(t0, t0 + len(u)):
+            if greedy:
+                beliefs = update_beliefs(beliefs, seen[t - t0], cfg)
+                orders = beliefs.probs.argsort(axis=1, kind="stable").tolist()
+            prev = grid.assignments[t - 1].tolist() if t else idle
+            bans = no_bans
+            if cfg.distinct_within_block:
+                bans = grid.assignments[t - t % L : t].T.tolist()
+            alloc = idle.copy()
+            for b in range(m):
+                if custom:
+                    obs = sense(truth[t - t0], cfg, gen)
+                    station_beliefs[b].probs[:] = update_beliefs(
                         station_beliefs[b], obs, cfg
                     ).probs
-            lo, hi = bounds[b], bounds[b + 1]
-            if hi == lo:
-                continue
-            excl = None
-            if cfg.distinct_within_block:
-                excl = grid.assignments[t - t % cfg.L : t, lo:hi].T.tolist()
-            occupied = alloc[:lo].tolist() if cfg.shared_control_matrix else None
-            try:
-                got = decide(
-                    station_beliefs[b], prev[lo:hi], policy, gen,
-                    occupied=occupied, excluded=excl,
-                )
-            except OverloadError as err:
-                got = err.assignment
-                overloads += int(np.count_nonzero(got < 0))
-            alloc[lo:hi] = got
+                elif not greedy:
+                    gen.random(q)  # random_hop's sensing uniforms, never read
+                lo, hi = bounds[b], bounds[b + 1]
+                if hi == lo:
+                    continue
+                if custom:
+                    picks = decide(
+                        station_beliefs[b], prev[lo:hi], policy, gen
+                    ).tolist()
+                else:
+                    taken = set(alloc[:lo]) if cfg.shared_control_matrix else set()
+                    picks = _pick(
+                        orders[b], slots, prev[lo:hi], taken, bans[lo:hi], gen
+                    )
+                    overloads += picks.count(-1)
+                alloc[lo:hi] = picks
+            grid.assignments[t] = alloc
 
-    return _episode_stats(grid, cfg.L, overloads), grid
+    return _episode_stats(grid, L, overloads), grid
 
 
 def _episode_stats(grid: OccupancyGrid, L: int, overloads: int) -> EpisodeStats:

@@ -44,6 +44,18 @@ def test_rng_spec_validation():
         RngSpec(seed=1, stream=-2)
 
 
+def test_rng_spec_rejects_non_integers():
+    # int() would truncate these: RngSpec(1, 1.5) drew the stream of
+    # RngSpec(1, 1) yet compared unequal to it
+    with pytest.raises(ValueError, match="stream"):
+        RngSpec(1, 1.5)
+    with pytest.raises(ValueError, match="seed"):
+        RngSpec(1.5, 0)
+    spec = RngSpec(np.uint64(3), np.int64(2))
+    assert spec == RngSpec(3, 2)
+    assert spec.generator().random() == RngSpec(3, 2).generator().random()
+
+
 def test_rng_spec_streams_are_independent():
     a = RngSpec(123, 0).generator().random(4)
     b = RngSpec(123, 1).generator().random(4)

@@ -2,20 +2,26 @@
 episode bookkeeping on hand-checkable configurations."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from covertcomm.montecarlo import RngSpec
 from covertcomm.scheduler import (
     GREEDY_BELIEF,
     RANDOM_HOP,
+    _SRC_EXTERNAL,
+    _SRC_JAMMER,
     BeliefState,
     EpisodeStats,
     GridConfig,
     OccupancyGrid,
     OverloadError,
     _entropy_bits,
+    _episode_stats,
     decide,
     run_episode,
     run_episode_trace,
@@ -45,6 +51,32 @@ _JAM = frozenset({3, 17, 40, 55})
 def test_grid_config_rejects(kwargs):
     with pytest.raises(ValueError):
         GridConfig(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "field,kwargs",
+    [
+        ("q", {"q": 8.0}),
+        ("p", {"p": np.float64(100.0)}),
+        ("L", {"L": 2.5}),
+        ("m", {"m": 1.0, "users_per_bs": (1,)}),
+        ("users_per_bs", {"m": 2, "users_per_bs": (1.7, 1)}),
+        ("jammed_slots", {"m": 1, "users_per_bs": (1,), "jammed_slots": {3.9}}),
+    ],
+)
+def test_grid_config_rejects_non_integers(field, kwargs):
+    # int() would truncate these silently, and a float q or p would fail
+    # only inside the episode
+    with pytest.raises(ValueError, match=field):
+        GridConfig(**kwargs)
+
+
+def test_grid_config_accepts_numpy_integers():
+    cfg = GridConfig(q=np.int64(8), p=np.int32(20), L=np.uint8(2), m=np.int64(2),
+                     users_per_bs=np.array([2, 1]), jammed_slots={np.int16(3)})
+    assert cfg == GridConfig(q=8, p=20, L=2, m=2, users_per_bs=(2, 1),
+                             jammed_slots=frozenset({3}))
+    assert all(type(v) is int for v in (cfg.q, cfg.p, cfg.L, cfg.m, *cfg.users_per_bs))
 
 
 def test_grid_config_totals():
@@ -502,3 +534,111 @@ def _erratic(beliefs, prev, gen):
 def test_episode_counters_match_per_slot_reference(cfg, policy):
     stats, grid = run_episode_trace(cfg, policy, RngSpec(2025, 0))
     assert stats == _per_slot_stats(grid, cfg.L, stats.overloads)
+
+
+def _per_station_episode(cfg, policy, spec):
+    # the episode loop as it read before the time slot was batched: each
+    # station senses, updates its beliefs and decides in turn through the
+    # public functions, reading the previous row, the block's rows and the
+    # earlier stations' claims from the grid; the reference for
+    # run_episode_trace's whole grids
+    gen = spec.generator()
+    grid = OccupancyGrid(cfg.q, cfg.p, cfg.k)
+    jam = np.zeros(cfg.q, dtype=bool)
+    jam[list(cfg.jammed_slots)] = True
+    beliefs = [BeliefState.uniform(cfg.q) for _ in range(cfg.m)]
+    bounds = np.concatenate([[0], np.cumsum(cfg.users_per_bs)]).astype(int)
+    idle = np.full(cfg.k, -1, dtype=np.int32)
+    overloads = 0
+    for t in range(cfg.p):
+        ext = gen.random(cfg.q) < cfg.external_occupancy_prob
+        row = grid.source[t]
+        row[ext] = _SRC_EXTERNAL
+        row[jam] = _SRC_JAMMER
+        truth = row > 0
+        prev = grid.assignments[t - 1] if t else idle
+        alloc = grid.assignments[t]
+        for b in range(cfg.m):
+            beliefs[b] = update_beliefs(beliefs[b], sense(truth, cfg, gen), cfg)
+            lo, hi = bounds[b], bounds[b + 1]
+            if hi == lo:
+                continue
+            excl = None
+            if cfg.distinct_within_block:
+                excl = [set(col) for col in
+                        grid.assignments[t - t % cfg.L : t, lo:hi].T.tolist()]
+            occupied = set(alloc[:lo].tolist()) if cfg.shared_control_matrix else None
+            try:
+                got = decide(beliefs[b], prev[lo:hi], policy, gen,
+                             occupied=occupied, excluded=excl)
+            except OverloadError as err:
+                got = err.assignment
+                overloads += int(np.count_nonzero(got < 0))
+            alloc[lo:hi] = got
+    return grid, overloads
+
+
+def _ranked_draws(beliefs, prev, gen):
+    # reads the beliefs and draws; returns idle users, repeated and
+    # shared slots
+    ranked = np.argsort(beliefs.probs + gen.random(beliefs.probs.size), kind="stable")
+    out = ranked[gen.integers(0, 2, size=prev.size)]
+    out[gen.random(prev.size) < 0.2] = -1
+    return out
+
+
+@st.composite
+def _grid_configs(draw):
+    q = draw(st.integers(2, 12))
+    users = draw(st.lists(st.integers(0, 3), min_size=1, max_size=4)
+                 .filter(lambda u: sum(u) <= q))
+    L = draw(st.integers(1, 6))
+    prob = st.floats(0.0, 1.0)
+    return GridConfig(
+        q=q, p=draw(st.integers(L, 60)), L=L, m=len(users),
+        users_per_bs=tuple(users),
+        jammed_slots=frozenset(draw(st.sets(st.integers(0, q - 1), max_size=3))),
+        external_occupancy_prob=draw(prob), sense_miss_prob=draw(prob),
+        sense_fa_prob=draw(prob), belief_persistence=draw(prob),
+        distinct_within_block=draw(st.booleans()),
+        shared_control_matrix=draw(st.booleans()),
+    )
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_grid_configs(),
+       st.sampled_from([GREEDY_BELIEF, RANDOM_HOP, _ranked_draws]),
+       st.integers(0, 2**32))
+def test_episode_matches_per_station_reference(cfg, policy, seed):
+    spec = RngSpec(seed, 0)
+    stats, grid = run_episode_trace(cfg, policy, spec)
+    ref, overloads = _per_station_episode(cfg, policy, spec)
+    assert np.array_equal(grid.assignments, ref.assignments)
+    assert np.array_equal(grid.source, ref.source)
+    assert stats == _episode_stats(ref, cfg.L, overloads)
+
+
+def test_episode_scratch_does_not_grow_with_p(monkeypatch):
+    # greedy_belief draws runs of time slots at once; its peak memory
+    # beyond its own grid stays flat when the horizon grows tenfold (both
+    # horizons span several runs). The whole-grid counters read the
+    # finished grid after the loop, so the peak is taken when they start.
+    extra = {}
+
+    def stats_after_loop(grid, L, overloads):
+        peak = tracemalloc.get_traced_memory()[1]
+        extra[grid.p] = peak - grid.source.nbytes - grid.assignments.nbytes
+        return _episode_stats(grid, L, overloads)
+
+    monkeypatch.setattr("covertcomm.scheduler._episode_stats", stats_after_loop)
+    for p in (2_000, 20_000):
+        cfg = GridConfig(q=32, p=p, L=4, m=1, users_per_bs=(2,),
+                         jammed_slots=frozenset({5}), external_occupancy_prob=0.05,
+                         sense_miss_prob=0.1, sense_fa_prob=0.1,
+                         distinct_within_block=True)
+        tracemalloc.start()
+        try:
+            run_episode(cfg, GREEDY_BELIEF, RngSpec(99, 0))
+        finally:
+            tracemalloc.stop()
+    assert extra[20_000] <= extra[2_000] + 16 * 1024
