@@ -236,7 +236,9 @@ def _log_mixture_coeffs(s0: float, kl: float, y: float) -> np.ndarray:
     return coeffs
 
 
-@functools.lru_cache(maxsize=256)
+# one k sweep of a q=64 solver reads about 1000-2700 blocks of 128 doubles;
+# 4096 keep a whole sweep's blocks (about 4.6 MB at most) until it runs again
+@functools.lru_cache(maxsize=4096)
 def _cond_md_block(
     s0: float, kl: float, y: float, level: int, block: int
 ) -> np.ndarray:

@@ -13,22 +13,15 @@ disjoint substreams without coordination.
 """
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
+from .params import _integer
+
 # keeps each array of draws near 8 MB regardless of block size; 48 MB
 # arrays measured slower, each one a fresh mapping whose pages fault in
 _CHUNK_FLOATS = 1_000_000
-
-
-def _integer(name: str, value) -> int:
-    """value as a Python int; a float or other non-integral type is refused."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)

@@ -11,9 +11,18 @@ into each occupied sample.
 
 import dataclasses
 import math
+import operator
 from dataclasses import dataclass
 
 THRESHOLD_MODES = ("per_sample_normalized", "raw")
+
+
+def _integer(name: str, value) -> int:
+    """value as a Python int; a float or other non-integral type is refused."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -44,6 +53,8 @@ class SystemParams:
     threshold_mode: str = "per_sample_normalized"
 
     def __post_init__(self):
+        for name in ("m", "k", "q", "L"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if self.m < 1:
             raise ValueError(f"need at least one transmitter, got m={self.m}")
         if self.q < 1 or self.L < 1:

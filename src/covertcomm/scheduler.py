@@ -13,7 +13,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .montecarlo import RngSpec, _integer
+from .montecarlo import RngSpec
+from .params import _integer
 
 FREE = "free"
 JAMMER = "jammer"
@@ -439,14 +440,26 @@ def _episode_stats(grid: OccupancyGrid, L: int, overloads: int) -> EpisodeStats:
     q = grid.q
     active = alloc >= 0
     t_idx, u_idx = np.nonzero(active)
-    f_idx = alloc[t_idx, u_idx].astype(np.int64)
-    users_on_cell = np.bincount(t_idx * q + f_idx, minlength=p * q).reshape(p, q)
+    f_idx = alloc[t_idx, u_idx]
+    # users that share a cell are equal neighbours in their time slot's
+    # sorted row, so the scratch scales with the p x users allocation and
+    # not with the p x q grid; a run of r equal slots is one collision
+    order = np.argsort(alloc, axis=1, kind="stable")
+    order += np.arange(p)[:, None] * n_users  # flat indices
+    srt = alloc.ravel()[order]
+    same = (srt[:, 1:] == srt[:, :-1]) & (srt[:, 1:] >= 0)
+    collisions = np.count_nonzero(same) - np.count_nonzero(same[:, 1:] & same[:, :-1])
+    shared_sorted = np.zeros(alloc.shape, dtype=bool)
+    shared_sorted[:, 1:] = same
+    shared_sorted[:, :-1] |= same
+    shared = np.empty(alloc.shape, dtype=bool)
+    shared.ravel()[order] = shared_sorted
     hostile = grid.source[t_idx, f_idx] > 0
     # a transmission is clean when the user has the cell to itself and
     # no jammer or external source sits on it; a block is L clean time
     # slots in a row, so a run of r clean slots delivers r // L blocks
     clean = np.zeros((n_users, p + 2), dtype=np.int8)  # idle pad at both ends
-    clean[u_idx, t_idx + 1] = ~hostile & (users_on_cell[t_idx, f_idx] == 1)
+    clean[u_idx, t_idx + 1] = ~hostile & ~shared[t_idx, u_idx]
     edges = np.diff(clean.ravel())
     runs = np.flatnonzero(edges == -1) - np.flatnonzero(edges == 1)
     slot_counts = np.bincount(u_idx * q + f_idx, minlength=n_users * q).reshape(
@@ -457,7 +470,7 @@ def _episode_stats(grid: OccupancyGrid, L: int, overloads: int) -> EpisodeStats:
         float(np.mean([_entropy_bits(c) for c in slot_counts])) if n_users else 0.0
     )
     return EpisodeStats(
-        collisions=int(np.count_nonzero(users_on_cell >= 2)),
+        collisions=int(collisions),
         jammer_hits=int(np.count_nonzero(hostile)),
         # an active user on its previous slot; idle users never match
         hop_violations=int(np.count_nonzero(active[1:] & (alloc[1:] == alloc[:-1]))),

@@ -25,6 +25,9 @@ _U_DROP = 40.0
 _U_REACH_MAX = 2**16  # steps of the level-0 grid on either side of the peak
 _U_LEVEL_MAX = 8
 _U_REL_TOL = 1e-9
+# past a left cut, the U integrand is taken as e^(a s) times a constant
+# that it keeps to this relative tolerance
+_U_TAIL_TOL = 1e-17
 
 
 class ConvergenceError(ArithmeticError):
@@ -120,6 +123,10 @@ def log_tricomi_u(a: float, b: float, z: float) -> float:
     right, so the trapezoid rule on the grids s* + j h 2^-level around its
     peak s* converges exponentially. The step is halved until two grids
     agree to _U_REL_TOL, else ConvergenceError carries the last estimate.
+    For a below about 6e-4 the left tail, where psi(s) is a s plus a
+    constant, is too long to walk; the grid is cut there and the nodes
+    past the cut are one geometric series, the trapezoid rule's own sum
+    of int e^(a s) ds = e^(a s_cut) / a.
     psi is taken relative to its peak value, so the result stays finite
     even when U itself would overflow or underflow a double.
     """
@@ -161,19 +168,35 @@ def log_tricomi_u(a: float, b: float, z: float) -> float:
     lo = hi = 1
     while psi(-lo * width) > -_U_DROP and lo <= _U_REACH_MAX:
         lo *= 2
+    # the left tail decays only like e^(a s), about _U_DROP / a long; where
+    # that passes the reach cap (a below about 6e-4), the grid stops instead
+    # at the first reach past which psi(s) - a s is constant to _U_TAIL_TOL,
+    # since |c log(1+e^s) - z e^s| <= (|c| + z) e^s, and the nodes beyond it
+    # are summed in closed form: e^psi(cut) sum_{j>=1} e^(-a j step)
+    log_cut = None
+    if lo > _U_REACH_MAX:
+        lo = 1
+        log_bound = math.log(abs(c) + z) + s_pk - math.log(_U_TAIL_TOL)
+        while log_bound > lo * width and lo <= _U_REACH_MAX:
+            lo *= 2
+        log_cut = float(psi(-lo * width))
     while psi(hi * width) > -_U_DROP and max(lo, hi) <= _U_REACH_MAX:
         hi *= 2
     if max(lo, hi) > _U_REACH_MAX:
         raise ConvergenceError(f"tricomi U integrand wider than {_U_REACH_MAX} steps")
 
+    def tail(step):
+        return 0.0 if log_cut is None else math.exp(log_cut) / math.expm1(a * step)
+
     # log(peak value / Gamma(a)), with log(1+t*) = -log(1-u) and z t* = zt
     log_peak = a * s_pk - c * log_1mu - zt - math.lgamma(a)
-    total = 0.0
+    nodes = total = 0.0
     for level in range(_U_LEVEL_MAX + 1):
         k = 2**level
         # level 0 is every node; each finer level adds the odd ones
         j = np.arange(-lo, hi + 1) if level == 0 else np.arange(1 - lo * k, hi * k, 2)
-        coarse, total = total, total + float(np.exp(psi(j * (width / k))).sum())
+        nodes += float(np.exp(psi(j * (width / k))).sum())
+        coarse, total = total, nodes + tail(width / k)
         if level and abs(total - 2.0 * coarse) <= _U_REL_TOL * total:
             return log_peak + math.log(total * width / k)
     raise ConvergenceError(

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from covertcomm import cli
-from covertcomm.analytic import dep, rtp
+from covertcomm.analytic import _cond_md_block, dep, rtp
 from covertcomm.montecarlo import RngSpec
 from covertcomm.optimizer import MonotonicityError, max_users, optimal_power
 from covertcomm.params import SystemParams, power_from_snr_db
@@ -255,6 +255,24 @@ def test_design_output_pinned(capsys, argv, digest):
     assert code == 0, err
     blob = json.dumps([code, out, err]).encode()
     assert hashlib.sha256(blob).hexdigest() == digest
+
+
+def test_budget_sweep_builds_each_block_once(capsys):
+    # a q=64 capacity sweep over budgets and eps reads about a thousand
+    # conditional-miss blocks; the cache keeps all of them, so none is
+    # built twice within the sweep or when the same sweep runs again
+    # (a 256-block bound built 9,620 for 256 resident)
+    cache = _cond_md_block
+    assert cache.cache_info().maxsize is not None  # bounded, whatever is asked
+    cache.cache_clear()
+    argv = ("capacity", "--snr-db", "10:40:7", "--eps-u-list", "0.05,0.1",
+            "--format", "json")
+    first = _run(capsys, *argv)
+    assert first[0] == 0, first[2]
+    info = cache.cache_info()
+    assert info.misses == info.currsize
+    assert _run(capsys, *argv) == first
+    assert cache.cache_info().misses == info.misses
 
 
 def test_capacity_matches_library(capsys):

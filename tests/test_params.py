@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from covertcomm.params import (
@@ -64,6 +65,26 @@ def test_rejects_bad_values(kwargs):
 def test_rejects_infinite_noise_floor_and_fading_means(name):
     with pytest.raises(ValueError, match=f"{name} must be finite"):
         SystemParams(**{name: math.inf})
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"k": 2.5}, {"k": 2.0}, {"q": 8.5, "k": 2}, {"L": 8.0}, {"m": 1.5}, {"k": "4"}],
+)
+def test_rejects_non_integral_counts(kwargs):
+    # the closed forms would run on these: dep(SystemParams(k=2.5, p_b=10))
+    # returned 1.0
+    name = next(iter(kwargs))
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        SystemParams(**kwargs)
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        SystemParams().with_(**kwargs)
+
+
+def test_accepts_numpy_integer_counts():
+    p = SystemParams(m=np.int32(2), k=np.int64(3), q=np.uint16(16), L=np.int8(4))
+    assert p == SystemParams(m=2, k=3, q=16, L=4)
+    assert all(type(v) is int for v in (p.m, p.k, p.q, p.L))
 
 
 def test_admits_boundary_values():

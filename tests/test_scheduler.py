@@ -642,3 +642,25 @@ def test_episode_scratch_does_not_grow_with_p(monkeypatch):
         finally:
             tracemalloc.stop()
     assert extra[20_000] <= extra[2_000] + 16 * 1024
+
+
+def test_episode_stats_scratch_does_not_grow_with_q():
+    # the counters count users per occupied cell, not per cell of the
+    # p x q grid: 8 busy users over 20 000 time slots take the same scratch
+    # at q = 256 as at q = 16 (the per-cell count took 41 MB against 2.6 MB)
+    p, n_users = 20_000, 8
+    peak = {}
+    for q in (16, 256):
+        grid = OccupancyGrid(q, p, n_users)
+        t = np.arange(p)[:, None]
+        # two users share each time slot's first cell, so collisions occur
+        grid.assignments[:] = (t + np.array([0, 0, 1, 2, 3, 4, 5, 6])) % q
+        grid.source[::7, 3] = _SRC_JAMMER
+        tracemalloc.start()
+        try:
+            stats = _episode_stats(grid, 4, 0)
+            peak[q] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert stats.collisions == p
+    assert peak[256] <= 1.25 * peak[16]
