@@ -289,8 +289,7 @@ def _cmd_capacity(args) -> int:
 # validation suite
 
 def _check(name, error, limit):
-    err = float(error)
-    lim = float(limit)
+    err, lim = float(error), float(limit)
     return {
         "name": name,
         "passed": bool(err <= lim),
@@ -304,176 +303,125 @@ def _rel_err(got, want):
     return abs(got - want) / max(abs(want), 1e-300)
 
 
+def _worst(errors) -> float:
+    """The largest of errors; a NaN anywhere makes it NaN, so its check fails."""
+    return float(np.max(list(errors)))
+
+
+def _mc_gap(exact, mean, se, floor=0.0) -> float:
+    """How far exact lies outside mean +- (3 se + floor); at most 0 inside."""
+    return abs(exact - mean) - (3.0 * se + floor)
+
+
 def _validate_checks(params: SystemParams, trials: int, seed: int, ctl: SeriesControl):
-    checks = []
+    """The report's checks in order; each grid's error is its _worst."""
+    from scipy import integrate  # lazy: importing covertcomm leaves it out
 
-    # identity: P + Q = 1
-    worst = 0.0
-    for s in (0.5, 1.0, 3.0, 8.0, 64.0, 512.0, 3000.0):
-        for x in (0.0, 0.5, 1.0, 8.0, 100.0, 512.0, 1024.0, 5000.0):
-            worst = max(worst, abs(reg_gamma_lower(s, x) + reg_gamma_upper(s, x) - 1.0))
-    checks.append(_check("incomplete_gamma_complement", worst, 1e-12))
+    def rng(stream):
+        return montecarlo.RngSpec(seed, stream)
 
-    # identity: 1F1(a; a; z) = e^z
-    worst = 0.0
-    for a in (0.5, 2.0, 7.5, 32.0, 128.0):
-        for z in (0.0, 1.0, 5.0, 20.0, 50.0):
-            worst = max(worst, _rel_err(kummer_1f1(a, a, z, ctl), math.exp(z)))
-    checks.append(_check("kummer_exp_identity", worst, 1e-10))
+    def at_snr(snr_db):
+        return params.with_(p_b=power_from_snr_db(snr_db, params.sigma0_sq))
 
-    # identity: U(a, a+1, z) = z^(-a)
-    worst = 0.0
-    for a in range(1, 9):
-        for z in (0.1, 1.0, 10.0, 100.0):
-            worst = max(worst, _rel_err(tricomi_u(float(a), a + 1.0, z), z ** -a))
-    checks.append(_check("tricomi_power_identity", worst, 1e-9))
+    def rate_by_quadrature(kp, p):
+        # the defining expectation E[log2(1 + beta h)] with h ~ Exp(omega_u)
+        beta = kp.m * p / (kp.k * kp.sigma0_sq)
+        return integrate.quad(
+            lambda h: np.log2(1.0 + beta * h) * math.exp(-h / kp.omega_u) / kp.omega_u,
+            0.0, np.inf,
+        )[0]
 
-    # identity: U(a, b, z) = z^(1-b) U(a-b+1, 2-b, z)
-    worst = 0.0
-    for a in (1.5, 2.0, 3.0, 4.5, 6.0):
-        for b in (-2.5, -1.0, 0.5, 1.5, 2.5):
-            for z in (0.5, 2.0, 10.0):
-                lhs = tricomi_u(a, b, z)
-                rhs = z ** (1.0 - b) * tricomi_u(a - b + 1.0, 2.0 - b, z)
-                worst = max(worst, _rel_err(lhs, rhs))
-    checks.append(_check("tricomi_kummer_transform", worst, 1e-8))
-
-    # two-sided envelope of e^x E1(x)
-    worst = 0.0
-    prev = math.inf
-    for x in (0.05, 0.2, 1.0, 3.0, 10.0, 100.0, 1000.0):
-        v = exp_e1_scaled(x)
-        lo = 0.5 * math.log1p(2.0 / x)
-        hi = min(math.log1p(1.0 / x), 1.0 / x)
-        if not (lo < v < hi and v < prev):
-            worst = 1.0
-        prev = v
-    checks.append(_check("e1_scaled_envelope", worst, 0.0))
-
-    # miss-detection series path against the quadrature path
-    worst = 0.0
-    small = params.with_(q=8, k=2, L=2, m=2, gamma_e=2.0)
-    for p_b in (0.5, 2.0, 8.0, 50.0):
-        sp = small.with_(p_b=p_b)
-        worst = max(
-            worst,
-            _rel_err(
-                analytic.miss_detection_prob(sp, "series", ctl),
-                analytic.miss_detection_prob(sp, "quadrature", ctl),
-            ),
-        )
-    big = params.with_(p_b=power_from_snr_db(37.0, params.sigma0_sq))
-    worst = max(
-        worst,
-        _rel_err(
-            analytic.miss_detection_prob(big, "series", ctl),
-            analytic.miss_detection_prob(big, "quadrature", ctl),
-        ),
+    # e^x E1(x) lies strictly inside its two-sided envelope and falls with x
+    e1_x = (0.05, 0.2, 1.0, 3.0, 10.0, 100.0, 1000.0)
+    e1 = [exp_e1_scaled(x) for x in e1_x]
+    e1_inside = all(
+        0.5 * math.log1p(2.0 / x) < v < min(math.log1p(1.0 / x), 1.0 / x) and v < prev
+        for x, v, prev in zip(e1_x, e1, (math.inf, *e1))
     )
-    checks.append(_check("miss_detection_series_vs_quadrature", worst, 1e-6))
+    md_points = [params.with_(q=8, k=2, L=2, m=2, gamma_e=2.0, p_b=p_b)
+                 for p_b in (0.5, 2.0, 8.0, 50.0)] + [at_snr(37.0)]
 
-    # closed-form rate against quadrature of the defining expectation
-    from scipy import integrate as _integrate
-
-    worst = 0.0
-    for p in (0.1, 1.0, 10.0):
-        for k in (2, 8):
-            kp = params.with_(k=k)
-            beta = kp.m * p / (kp.k * kp.sigma0_sq)
-            val, _ = _integrate.quad(
-                lambda h: np.log2(1.0 + beta * h)
-                * math.exp(-h / kp.omega_u) / kp.omega_u,
-                0.0, np.inf,
-            )
-            worst = max(worst, _rel_err(analytic.covert_rate(kp, p), val))
-    checks.append(_check("covert_rate_vs_quadrature", worst, 1e-8))
-
-    # analytic vs Monte Carlo: detector, rtp, rate
+    # Monte Carlo runs, one stream each: a detector run serves three checks,
+    # and 3/trials is the floor where a standard error collapses to 0
     floor = 3.0 / trials
-    worst_fa = worst_md = worst_dep = -math.inf
-    for i, snr in enumerate((30.0, 37.0, 44.0)):
-        mp = params.with_(p_b=power_from_snr_db(snr, params.sigma0_sq))
-        fa, md = montecarlo.simulate_detector(
-            mp, trials, montecarlo.RngSpec(seed, 1000 + i)
-        )
-        worst_fa = max(
-            worst_fa,
-            abs(analytic.false_alarm_prob(mp) - fa.mean)
-            - (3.0 * fa.std_error + floor),
-        )
-        worst_md = max(
-            worst_md,
-            abs(analytic.miss_detection_prob(mp) - md.mean)
-            - (3.0 * md.std_error + floor),
-        )
-        dep_se = math.hypot(fa.std_error, md.std_error)
-        worst_dep = max(
-            worst_dep,
-            abs(analytic.dep(mp) - (fa.mean + md.mean)) - (3.0 * dep_se + floor),
-        )
-    checks.append(_check("false_alarm_vs_mc", worst_fa, 0.0))
-    checks.append(_check("miss_detection_vs_mc", worst_md, 0.0))
-    checks.append(_check("dep_vs_mc", worst_dep, 0.0))
+    detector = [(mp, *montecarlo.simulate_detector(mp, trials, rng(1000 + i)))
+                for i, mp in enumerate(map(at_snr, (30.0, 37.0, 44.0)))]
+    rtp_mc = [
+        (mp, montecarlo.simulate_rtp(mp, trials, rng(2000 + i)))
+        for i, mp in enumerate(params.with_(p_b=p_b) for p_b in (0.5, 1.0, 4.0))
+    ]
+    rate_mc = montecarlo.simulate_rate(params, 2.0, trials, rng(3000))
 
-    worst = -math.inf
-    for i, p_b in enumerate((0.5, 1.0, 4.0)):
-        mp = params.with_(p_b=p_b)
-        est = montecarlo.simulate_rtp(mp, trials, montecarlo.RngSpec(seed, 2000 + i))
-        worst = max(
-            worst,
-            abs(analytic.rtp(mp) - est.mean) - (3.0 * est.std_error + floor),
-        )
-    checks.append(_check("rtp_vs_mc", worst, 0.0))
+    small = params.with_(q=8, k=2, L=2, m=2)
+    p_up = optimizer.power_upper_bound(small, 1e-6, 1e3, 1e-7)
+    # perfect sensing leaves nothing to collide with, and a rerun is the same
+    grid = scheduler.GridConfig(q=16, p=400, L=4, m=1, users_per_bs=(3,),
+                                jammed_slots=frozenset({0, 5}))
+    stats, rerun = [scheduler.run_episode(grid, scheduler.GREEDY_BELIEF, rng(4000))
+                    for _ in range(2)]
 
-    est = montecarlo.simulate_rate(params, 2.0, trials, montecarlo.RngSpec(seed, 3000))
-    checks.append(
-        _check(
-            "covert_rate_vs_mc",
-            abs(analytic.covert_rate(params, 2.0) - est.mean) - 3.0 * est.std_error,
-            0.0,
-        )
-    )
-
-    # reliability bound round trip
-    p_low = optimizer.power_lower_bound(params)
-    checks.append(
-        _check(
-            "rtp_at_power_lower_bound",
-            abs(analytic.rtp(params.with_(p_b=p_low)) - (1.0 - params.eps_u)),
-            1e-10,
-        )
-    )
-
-    # covertness bound lands on the dep target (small instance)
-    sp = params.with_(q=8, k=2, L=2, m=2)
-    p_up = optimizer.power_upper_bound(sp, 1e-6, 1e3, 1e-7)
-    checks.append(
-        _check(
-            "dep_at_power_upper_bound",
-            abs(analytic.dep(sp.with_(p_b=p_up)) - (1.0 - sp.eps_e)),
-            1e-4,
-        )
-    )
-
-    # scheduler sanity: perfect sensing leaves nothing to collide with
-    grid = scheduler.GridConfig(
-        q=16, p=400, L=4, m=1, users_per_bs=(3,),
-        jammed_slots=frozenset({0, 5}),
-    )
-    stats = scheduler.run_episode(
-        grid, scheduler.GREEDY_BELIEF, montecarlo.RngSpec(seed, 4000)
-    )
-    bad = stats.collisions + stats.jammer_hits + stats.hop_violations
-    checks.append(_check("scheduler_perfect_sensing_clean", bad, 0.0))
-
-    rerun = scheduler.run_episode(
-        grid, scheduler.GREEDY_BELIEF, montecarlo.RngSpec(seed, 4000)
-    )
-    checks.append(
-        _check("scheduler_determinism", 0.0 if rerun == stats else 1.0, 0.0)
-    )
-
-    return checks
+    return [
+        _check("incomplete_gamma_complement", _worst(
+            abs(reg_gamma_lower(s, x) + reg_gamma_upper(s, x) - 1.0)
+            for s in (0.5, 1.0, 3.0, 8.0, 64.0, 512.0, 3000.0)
+            for x in (0.0, 0.5, 1.0, 8.0, 100.0, 512.0, 1024.0, 5000.0)
+        ), 1e-12),
+        _check("kummer_exp_identity", _worst(
+            _rel_err(kummer_1f1(a, a, z, ctl), math.exp(z))
+            for a in (0.5, 2.0, 7.5, 32.0, 128.0) for z in (0.0, 1.0, 5.0, 20.0, 50.0)
+        ), 1e-10),
+        _check("tricomi_power_identity", _worst(
+            _rel_err(tricomi_u(float(a), a + 1.0, z), z ** -a)
+            for a in range(1, 9) for z in (0.1, 1.0, 10.0, 100.0)
+        ), 1e-9),
+        _check("tricomi_kummer_transform", _worst(
+            _rel_err(tricomi_u(a, b, z),
+                     z ** (1.0 - b) * tricomi_u(a - b + 1.0, 2.0 - b, z))
+            for a in (1.5, 2.0, 3.0, 4.5, 6.0) for b in (-2.5, -1.0, 0.5, 1.5, 2.5)
+            for z in (0.5, 2.0, 10.0)
+        ), 1e-8),
+        _check("e1_scaled_envelope", 0.0 if e1_inside else 1.0, 0.0),
+        _check("miss_detection_series_vs_quadrature", _worst(
+            _rel_err(analytic.miss_detection_prob(p, "series", ctl),
+                     analytic.miss_detection_prob(p, "quadrature", ctl))
+            for p in md_points
+        ), 1e-6),
+        _check("covert_rate_vs_quadrature", _worst(
+            _rel_err(analytic.covert_rate(kp, p), rate_by_quadrature(kp, p))
+            for p in (0.1, 1.0, 10.0) for kp in (params.with_(k=2), params.with_(k=8))
+        ), 1e-8),
+        _check("false_alarm_vs_mc", _worst(
+            _mc_gap(analytic.false_alarm_prob(mp), fa.mean, fa.std_error, floor)
+            for mp, fa, md in detector
+        ), 0.0),
+        _check("miss_detection_vs_mc", _worst(
+            _mc_gap(analytic.miss_detection_prob(mp), md.mean, md.std_error, floor)
+            for mp, fa, md in detector
+        ), 0.0),
+        _check("dep_vs_mc", _worst(
+            _mc_gap(analytic.dep(mp), fa.mean + md.mean,
+                    math.hypot(fa.std_error, md.std_error), floor)
+            for mp, fa, md in detector
+        ), 0.0),
+        _check("rtp_vs_mc", _worst(
+            _mc_gap(analytic.rtp(mp), est.mean, est.std_error, floor)
+            for mp, est in rtp_mc
+        ), 0.0),
+        _check("covert_rate_vs_mc", _mc_gap(
+            analytic.covert_rate(params, 2.0), rate_mc.mean, rate_mc.std_error
+        ), 0.0),
+        # the two power bounds land on their targets
+        _check("rtp_at_power_lower_bound", abs(
+            analytic.rtp(params.with_(p_b=optimizer.power_lower_bound(params)))
+            - (1.0 - params.eps_u)
+        ), 1e-10),
+        _check("dep_at_power_upper_bound", abs(
+            analytic.dep(small.with_(p_b=p_up)) - (1.0 - small.eps_e)
+        ), 1e-4),
+        _check("scheduler_perfect_sensing_clean",
+               stats.collisions + stats.jammer_hits + stats.hop_violations, 0.0),
+        _check("scheduler_determinism", 0.0 if rerun == stats else 1.0, 0.0),
+    ]
 
 
 def _cmd_validate(args) -> int:

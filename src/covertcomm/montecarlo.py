@@ -56,7 +56,7 @@ class EstimateWithError:
 
 
 def _check_trials(trials: int) -> int:
-    trials = int(trials)
+    trials = _integer("trials", trials)
     if trials < 100:
         raise ValueError(f"need at least 100 trials for a standard error, got {trials}")
     return trials
@@ -129,7 +129,7 @@ def detector_statistic_samples(
     Gamma(qL, sigma0_sq). With signal=True the warden gain is drawn per
     trial unless a fixed g is supplied.
     """
-    trials = int(trials)
+    trials = _integer("trials", trials)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     gen = rng.generator()

@@ -28,6 +28,8 @@ _U_REL_TOL = 1e-9
 # past a left cut, the U integrand is taken as e^(a s) times a constant
 # that it keeps to this relative tolerance
 _U_TAIL_TOL = 1e-17
+# the share of the integral that the left tail past the reach may hold
+_U_LEFT_TOL = 1e-12
 
 
 class ConvergenceError(ArithmeticError):
@@ -126,7 +128,11 @@ def log_tricomi_u(a: float, b: float, z: float) -> float:
     For a below about 6e-4 the left tail, where psi(s) is a s plus a
     constant, is too long to walk; the grid is cut there and the nodes
     past the cut are one geometric series, the trapezoid rule's own sum
-    of int e^(a s) ds = e^(a s_cut) / a.
+    of int e^(a s) ds = e^(a s_cut) / a. A tiny a (a times the peak
+    width below about 4e-6) takes the same cut, since even a tail _U_DROP
+    below the peak can hold a share of the integral over its 1/a length;
+    the sum, which nears 1/a, is then kept times a, and where the peak
+    lies left of the cut, the grid is centred at the cut.
     psi is taken relative to its peak value, so the result stays finite
     even when U itself would overflow or underflow a double.
     """
@@ -168,35 +174,59 @@ def log_tricomi_u(a: float, b: float, z: float) -> float:
     lo = hi = 1
     while psi(-lo * width) > -_U_DROP and lo <= _U_REACH_MAX:
         lo *= 2
-    # the left tail decays only like e^(a s), about _U_DROP / a long; where
-    # that passes the reach cap (a below about 6e-4), the grid stops instead
-    # at the first reach past which psi(s) - a s is constant to _U_TAIL_TOL,
-    # since |c log(1+e^s) - z e^s| <= (|c| + z) e^s, and the nodes beyond it
-    # are summed in closed form: e^psi(cut) sum_{j>=1} e^(-a j step)
+    # the left tail decays only like e^(a s), about _U_DROP / a long. Where
+    # that passes the reach cap (a below about 6e-4), or where the tail past
+    # the reach, e^-_U_DROP high and 1/a long, could hold _U_LEFT_TOL of the
+    # peak's integral of about width (a tiny a and a peak far right of the
+    # plateau), the grid stops instead at the first reach past which
+    # psi(s) - a s is constant to _U_TAIL_TOL, since
+    # |c log(1+e^s) - z e^s| <= (|c| + z) e^s, and the nodes beyond it are
+    # summed in closed form: e^psi(cut) sum_{j>=1} e^(-a j step)
+    tiny = math.exp(-_U_DROP) > _U_LEFT_TOL * a * width
     log_cut = None
-    if lo > _U_REACH_MAX:
+    if lo > _U_REACH_MAX or tiny:
         lo = 1
         log_bound = math.log(abs(c) + z) + s_pk - math.log(_U_TAIL_TOL)
+        if log_bound < 0.0:
+            # the peak (near log a) lies left of where the tail starts, so
+            # every node left of there is a tail node: centre the grid there,
+            # which keeps the right reach short and e^d within a double
+            s_pk -= log_bound
+            log_bound = 0.0
+            log_1mu = -float(np.logaddexp(0.0, s_pk))
+            log_u = s_pk + log_1mu
+            zt = z * math.exp(s_pk)
         while log_bound > lo * width and lo <= _U_REACH_MAX:
             lo *= 2
         log_cut = float(psi(-lo * width))
+    # for a tiny a the sum nears 1/a, past a double for a subnormal a: keep
+    # it times a, over a Gamma(a) = Gamma(1 + a)
+    scale = a if tiny else 1.0
     while psi(hi * width) > -_U_DROP and max(lo, hi) <= _U_REACH_MAX:
         hi *= 2
     if max(lo, hi) > _U_REACH_MAX:
         raise ConvergenceError(f"tricomi U integrand wider than {_U_REACH_MAX} steps")
 
     def tail(step):
-        return 0.0 if log_cut is None else math.exp(log_cut) / math.expm1(a * step)
+        # scale times the nodes past the cut, e^psi(cut) / expm1(a step);
+        # x / expm1(x) = 1 where x = a step underflows
+        if log_cut is None:
+            return 0.0
+        x = a * step
+        if not tiny:
+            return math.exp(log_cut) / math.expm1(x)
+        return math.exp(log_cut) / step * (x / math.expm1(x) if x else 1.0)
 
-    # log(peak value / Gamma(a)), with log(1+t*) = -log(1-u) and z t* = zt
-    log_peak = a * s_pk - c * log_1mu - zt - math.lgamma(a)
+    # log(centre value / Gamma(a)), with log(1+t*) = -log(1-u) and z t* = zt
+    log_gamma = math.lgamma(1.0 + a) if tiny else math.lgamma(a)
+    log_peak = a * s_pk - c * log_1mu - zt - log_gamma
     nodes = total = 0.0
     for level in range(_U_LEVEL_MAX + 1):
         k = 2**level
         # level 0 is every node; each finer level adds the odd ones
         j = np.arange(-lo, hi + 1) if level == 0 else np.arange(1 - lo * k, hi * k, 2)
         nodes += float(np.exp(psi(j * (width / k))).sum())
-        coarse, total = total, nodes + tail(width / k)
+        coarse, total = total, scale * nodes + tail(width / k)
         if level and abs(total - 2.0 * coarse) <= _U_REL_TOL * total:
             return log_peak + math.log(total * width / k)
     raise ConvergenceError(

@@ -381,12 +381,32 @@ def test_validate_passes_and_is_deterministic(tmp_path, capsys):
         )
         assert code == 0
     assert a.read_bytes() == b.read_bytes()
+    # the report's pinned bytes (numpy 2.4, scipy 1.17): a refactor of the
+    # checks must keep every error, limit and margin
+    assert hashlib.sha256(a.read_bytes()).hexdigest() == (
+        "0f160345642306350bbde342cef498919ef4b5936f63a25cc7432299386796db"
+    )
     report = json.loads(a.read_text())
     assert report["passed"] is True
     assert report["n_failed"] == 0
     assert report["n_checks"] == len(report["checks"])
     names = [c["name"] for c in report["checks"]]
     assert len(names) == len(set(names))
+
+
+@pytest.mark.parametrize("owner,target,failing", [
+    (cli, "tricomi_u", {"tricomi_power_identity", "tricomi_kummer_transform"}),
+    (cli.analytic, "dep", {"dep_vs_mc", "dep_at_power_upper_bound"}),
+], ids=["tricomi_u", "dep"])
+def test_validate_fails_a_nan_error(capsys, monkeypatch, owner, target, failing):
+    # a NaN anywhere on a check's grid makes its error NaN, and so fails it;
+    # a max seeded with 0.0 or -inf would drop the NaN and pass
+    monkeypatch.setattr(owner, target, lambda *args, **kwargs: math.nan)
+    code, out, _ = _run(capsys, "validate", "--trials", "5000", "--seed", "3")
+    assert code == 1
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert {name for name, c in checks.items() if not c["passed"]} == failing
+    assert all(math.isnan(checks[name]["error"]) for name in failing)
 
 
 def test_validate_detects_broken_tolerance(capsys):

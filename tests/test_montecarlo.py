@@ -79,6 +79,23 @@ def test_trials_floor_enforced():
         simulate_rate(_BASE, 1.0, trials=10, rng=RngSpec(1, 0))
 
 
+def test_trial_counts_must_be_integers():
+    # a float count is refused, not truncated (150.7 trials would run 150)
+    for run in (
+        lambda t: simulate_detector(_SMALL, t, RngSpec(1, 0)),
+        lambda t: simulate_rtp(_SMALL, t, RngSpec(1, 0)),
+        lambda t: simulate_rate(_SMALL, 1.0, t, RngSpec(1, 0)),
+        lambda t: detector_statistic_samples(_SMALL, t, RngSpec(1, 0)),
+    ):
+        for bad in (150.7, 150.0, 2.9):
+            with pytest.raises(ValueError, match="trials must be an integer"):
+                run(bad)
+    # numpy integers are still counts
+    fa, _ = simulate_detector(_SMALL, np.int64(150), RngSpec(1, 0))
+    assert fa.trials == 150 and type(fa.trials) is int
+    assert detector_statistic_samples(_SMALL, np.int32(3), RngSpec(1, 0)).shape == (3,)
+
+
 def test_detector_reproducible_and_stream_sensitive():
     a = simulate_detector(_AT37, trials=2000, rng=RngSpec(42, 7))
     b = simulate_detector(_AT37, trials=2000, rng=RngSpec(42, 7))

@@ -186,6 +186,32 @@ def test_log_tricomi_against_mpmath_grid(a, b):
             assert err <= 1e-10, (z, float(err))
 
 
+@pytest.mark.parametrize("a", [1e-250, 1e-300, 1e-308, 5e-324])
+def test_log_tricomi_at_tiny_a(a):
+    # the peak lies near log a, hundreds of units left of where the left
+    # tail is summed in closed form, and the trapezoid sum nears 1/a, past
+    # a double for a subnormal a; a RuntimeWarning is an error here
+    with mpmath.workdps(50):
+        for b, z in ((0.5, 1.0), (-30.0, 1e-3), (2.0, 1.0), (3.0, 1.0), (0.5, 100.0)):
+            want = mpmath.log(mpmath.hyperu(a, b, z))
+            got = log_tricomi_u(a, b, z)
+            assert math.isfinite(got) and abs(got - want) <= 1e-12, (b, z, got)
+
+
+@pytest.mark.parametrize(
+    "a,b,z",
+    [(1e-12, 22.0, 1.0), (1e-10, 22.0, 1.0), (1e-60, 30.5, 0.1), (1e-300, 30.5, 0.1)],
+)
+def test_log_tricomi_left_plateau_at_tiny_a(a, b, z):
+    # the peak sits far right of the plateau that t^(a-1) makes near t = 0;
+    # the plateau lies more than the drop cut below the peak, but it is
+    # about 1/a long, so it holds a share of U (without it the value is
+    # 1.4e-7 off at a = 1e-12, b = 22)
+    with mpmath.workdps(50):
+        want = mpmath.log(mpmath.hyperu(a, b, z))
+        assert abs(log_tricomi_u(a, b, z) - want) <= 1e-12
+
+
 def test_tricomi_edges():
     # U(0, b, z) = 1: the defining series terminates immediately
     assert tricomi_u(0.0, -3.5, 2.0) == 1.0
