@@ -255,15 +255,10 @@ def _cmd_power_bounds(args) -> int:
             base.with_(k=k), args.p_min, args.p_max, args.tol
         )
         b = result.bounds
-        return {
-            "p_low": b.p_low,
-            "p_up": b.p_up,
-            "feasible": b.feasible,
-            "p_star": result.p_star if result.p_star is not None else _NAN_ROW,
-            "rate_star": (
-                result.rate_star if result.rate_star is not None else _NAN_ROW
-            ),
-        }
+        row = {"p_low": b.p_low, "p_up": b.p_up, "feasible": b.feasible}
+        if b.feasible:  # an infeasible row keeps _sweep's NaN p_star and rate_star
+            row.update(p_star=result.p_star, rate_star=result.rate_star)
+        return row
 
     cols = ["k", "p_low", "p_up", "feasible", "p_star", "rate_star"]
     return _sweep(args, points, compute, cols, {"feasible": False})
@@ -290,12 +285,14 @@ def _cmd_capacity(args) -> int:
 
 def _check(name, error, limit):
     err, lim = float(error), float(limit)
+    # JSON has no NaN or infinity: such an error is written as null
+    known = math.isfinite(err)
     return {
         "name": name,
         "passed": bool(err <= lim),
-        "error": err,
+        "error": err if known else None,
         "limit": lim,
-        "margin": lim - err,
+        "margin": lim - err if known else None,
     }
 
 

@@ -230,22 +230,18 @@ def optimal_power(
     The ergodic rate is strictly increasing in power, so whenever
     [max(p_low, p_min), p_up] is non-empty the optimum is p_up itself.
     """
+    p_low, p_up = math.inf, math.nan
     try:
         p_low = power_lower_bound(params)
-    except InfeasibleError:
-        bounds = PowerBounds(p_low=math.inf, p_up=math.nan, feasible=False)
-        return OptimalPowerResult(bounds=bounds, p_star=None, rate_star=None)
-    try:
         p_up = power_upper_bound(params, p_min, p_max, tol)
     except InfeasibleError:
-        bounds = PowerBounds(p_low=p_low, p_up=math.nan, feasible=False)
-        return OptimalPowerResult(bounds=bounds, p_star=None, rate_star=None)
+        pass
+    # a missing bound (p_low = inf, p_up = NaN) fails both comparisons
     feasible = p_up >= p_low and p_up >= p_min
-    bounds = PowerBounds(p_low=p_low, p_up=p_up, feasible=feasible)
-    if not feasible:
-        return OptimalPowerResult(bounds=bounds, p_star=None, rate_star=None)
     return OptimalPowerResult(
-        bounds=bounds, p_star=p_up, rate_star=covert_rate(params, p_up)
+        bounds=PowerBounds(p_low=p_low, p_up=p_up, feasible=feasible),
+        p_star=p_up if feasible else None,
+        rate_star=covert_rate(params, p_up) if feasible else None,
     )
 
 

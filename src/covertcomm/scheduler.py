@@ -374,10 +374,10 @@ def run_episode_trace(cfg: GridConfig, policy, rng: RngSpec):
     jam = np.zeros(q, dtype=bool)
     jam[list(cfg.jammed_slots)] = True
 
-    # one row per station; a custom policy's stations update their own
-    # row in place through these views
+    # greedy_belief keeps one row per station; a custom policy's stations
+    # each keep their own state
     beliefs = BeliefState(probs=np.full((m, q), 0.5))
-    station_beliefs = [BeliefState(probs=row) for row in beliefs.probs]
+    station_beliefs = [BeliefState.uniform(q) for _ in range(m)]
     orders = [None] * m  # random_hop ranks no slots
     # user index ranges per station
     bounds = np.concatenate([[0], np.cumsum(cfg.users_per_bs)]).tolist()
@@ -409,9 +409,7 @@ def run_episode_trace(cfg: GridConfig, policy, rng: RngSpec):
             for b in range(m):
                 if custom:
                     obs = sense(truth[t - t0], cfg, gen)
-                    station_beliefs[b].probs[:] = update_beliefs(
-                        station_beliefs[b], obs, cfg
-                    ).probs
+                    station_beliefs[b] = update_beliefs(station_beliefs[b], obs, cfg)
                 elif not greedy:
                     gen.random(q)  # random_hop's sensing uniforms, never read
                 lo, hi = bounds[b], bounds[b + 1]
@@ -441,25 +439,17 @@ def _episode_stats(grid: OccupancyGrid, L: int, overloads: int) -> EpisodeStats:
     active = alloc >= 0
     t_idx, u_idx = np.nonzero(active)
     f_idx = alloc[t_idx, u_idx]
-    # users that share a cell are equal neighbours in their time slot's
-    # sorted row, so the scratch scales with the p x users allocation and
-    # not with the p x q grid; a run of r equal slots is one collision
-    order = np.argsort(alloc, axis=1, kind="stable")
-    order += np.arange(p)[:, None] * n_users  # flat indices
-    srt = alloc.ravel()[order]
-    same = (srt[:, 1:] == srt[:, :-1]) & (srt[:, 1:] >= 0)
-    collisions = np.count_nonzero(same) - np.count_nonzero(same[:, 1:] & same[:, :-1])
-    shared_sorted = np.zeros(alloc.shape, dtype=bool)
-    shared_sorted[:, 1:] = same
-    shared_sorted[:, :-1] |= same
-    shared = np.empty(alloc.shape, dtype=bool)
-    shared.ravel()[order] = shared_sorted
+    # users per occupied cell, keyed t q + f over the transmissions alone,
+    # so the scratch scales with the p x users allocation, not the p x q grid
+    cells = t_idx * q + f_idx
+    keys, users = np.unique(cells, return_counts=True)
+    shared = users[np.searchsorted(keys, cells)] > 1
     hostile = grid.source[t_idx, f_idx] > 0
     # a transmission is clean when the user has the cell to itself and
     # no jammer or external source sits on it; a block is L clean time
     # slots in a row, so a run of r clean slots delivers r // L blocks
     clean = np.zeros((n_users, p + 2), dtype=np.int8)  # idle pad at both ends
-    clean[u_idx, t_idx + 1] = ~hostile & ~shared[t_idx, u_idx]
+    clean[u_idx, t_idx + 1] = ~hostile & ~shared
     edges = np.diff(clean.ravel())
     runs = np.flatnonzero(edges == -1) - np.flatnonzero(edges == 1)
     slot_counts = np.bincount(u_idx * q + f_idx, minlength=n_users * q).reshape(
@@ -470,7 +460,7 @@ def _episode_stats(grid: OccupancyGrid, L: int, overloads: int) -> EpisodeStats:
         float(np.mean([_entropy_bits(c) for c in slot_counts])) if n_users else 0.0
     )
     return EpisodeStats(
-        collisions=int(collisions),
+        collisions=int(np.count_nonzero(users > 1)),
         jammer_hits=int(np.count_nonzero(hostile)),
         # an active user on its previous slot; idle users never match
         hop_violations=int(np.count_nonzero(active[1:] & (alloc[1:] == alloc[:-1]))),

@@ -20,6 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
+from .params import _integer
+
 # The U integrand is cut where its log falls this far below the peak
 _U_DROP = 40.0
 _U_REACH_MAX = 2**16  # steps of the level-0 grid on either side of the peak
@@ -53,9 +55,10 @@ class SeriesControl:
     max_terms: int = 10_000
 
     def __post_init__(self):
+        object.__setattr__(self, "max_terms", _integer("max_terms", self.max_terms))
         if not self.rel_tol > 0.0:
             raise ValueError(f"rel_tol must be positive, got {self.rel_tol!r}")
-        if int(self.max_terms) < 1:
+        if self.max_terms < 1:
             raise ValueError(f"max_terms must be >= 1, got {self.max_terms!r}")
 
 

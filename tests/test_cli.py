@@ -400,13 +400,30 @@ def test_validate_passes_and_is_deterministic(tmp_path, capsys):
 ], ids=["tricomi_u", "dep"])
 def test_validate_fails_a_nan_error(capsys, monkeypatch, owner, target, failing):
     # a NaN anywhere on a check's grid makes its error NaN, and so fails it;
-    # a max seeded with 0.0 or -inf would drop the NaN and pass
+    # a max seeded with 0.0 or -inf would drop the NaN and pass. The report
+    # stays strict JSON: the NaN error is written as null
     monkeypatch.setattr(owner, target, lambda *args, **kwargs: math.nan)
     code, out, _ = _run(capsys, "validate", "--trials", "5000", "--seed", "3")
     assert code == 1
-    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+
+    def refuse(token):
+        raise ValueError(f"not JSON: {token}")
+
+    checks = {c["name"]: c for c in json.loads(out, parse_constant=refuse)["checks"]}
     assert {name for name, c in checks.items() if not c["passed"]} == failing
-    assert all(math.isnan(checks[name]["error"]) for name in failing)
+    assert all(
+        (checks[name]["error"], checks[name]["margin"]) == (None, None)
+        for name in failing
+    )
+
+
+def test_check_writes_a_non_finite_error_as_null():
+    # strict JSON has neither NaN nor Infinity; the check's verdict stays
+    for err in (math.nan, math.inf, -math.inf):
+        check = cli._check("c", err, 1.0)
+        assert check["passed"] is (err <= 1.0)
+        assert (check["error"], check["margin"]) == (None, None)
+        json.dumps(check, allow_nan=False)
 
 
 def test_validate_detects_broken_tolerance(capsys):

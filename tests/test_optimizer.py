@@ -97,8 +97,11 @@ def test_optimal_power_feasible():
 def test_optimal_power_infeasible_window():
     # reliability floor above the covertness ceiling: both bounds exist
     # but the window is empty
-    res = optimal_power(_BASE.with_(eps_u=1e-4), p_max=1e5)
+    params = _BASE.with_(eps_u=1e-4)
+    res = optimal_power(params, p_max=1e5)
     assert not res.bounds.feasible
+    assert res.bounds.p_low == power_lower_bound(params)
+    assert res.bounds.p_up == power_upper_bound(params, p_max=1e5)
     assert res.bounds.p_low > res.bounds.p_up
     assert res.p_star is None and res.rate_star is None
 
@@ -108,6 +111,13 @@ def test_optimal_power_reliability_unreachable():
     assert not res.bounds.feasible
     assert math.isinf(res.bounds.p_low)
     assert res.p_star is None
+    assert math.isnan(res.bounds.p_up) and res.rate_star is None
+    # a p_min above the covertness ceiling: p_low is found, p_up is not
+    res = optimal_power(_BASE, p_min=1e4, p_max=1e5)
+    assert not res.bounds.feasible
+    assert res.bounds.p_low == power_lower_bound(_BASE)
+    assert math.isnan(res.bounds.p_up)
+    assert res.p_star is None and res.rate_star is None
 
 
 def test_rate_star_grows_with_budget_and_slack():

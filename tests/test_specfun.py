@@ -298,3 +298,8 @@ def test_series_control_validation():
         SeriesControl(rel_tol=0.0)
     with pytest.raises(ValueError):
         SeriesControl(max_terms=0)
+    # a float term count is refused, even an integral one; a numpy int is a count
+    for bad in (50.5, 10.0):
+        with pytest.raises(ValueError, match="max_terms must be an integer"):
+            SeriesControl(max_terms=bad)
+    assert type(SeriesControl(max_terms=np.int64(7)).max_terms) is int
