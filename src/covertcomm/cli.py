@@ -173,15 +173,6 @@ def _emit(text: str, out: str | None) -> None:
             fh.write(text)
 
 
-_NAN_ROW = float("nan")
-
-
-def _report_failed_row(inputs: dict, err: Exception) -> None:
-    # stderr only, so the table on stdout stays byte-identical
-    where = ", ".join(f"{key}={_fmt_cell(v)}" for key, v in inputs.items())
-    print(f"row {where} failed: {type(err).__name__}: {err}", file=sys.stderr)
-
-
 def _sweep(args, points, compute, columns, failed_cells=None) -> int:
     """Render one row per point and return the exit code.
 
@@ -194,11 +185,13 @@ def _sweep(args, points, compute, columns, failed_cells=None) -> int:
     rows = []
     failed = False
     for stream, inputs in enumerate(points):
-        row = {**dict.fromkeys(columns, _NAN_ROW), **inputs}
+        row = {**dict.fromkeys(columns, math.nan), **inputs}
         try:
             row.update(compute(stream, **inputs))
         except (ValueError, ConvergenceError, optimizer.MonotonicityError) as err:
-            _report_failed_row(inputs, err)
+            # stderr only, so the table on stdout stays byte-identical
+            where = ", ".join(f"{key}={_fmt_cell(v)}" for key, v in inputs.items())
+            print(f"row {where} failed: {type(err).__name__}: {err}", file=sys.stderr)
             row.update(failed_cells or {})
             failed = True
         rows.append(row)

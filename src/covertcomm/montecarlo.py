@@ -19,8 +19,8 @@ import numpy as np
 
 from .params import _integer
 
-# keeps each array of draws near 8 MB regardless of block size; 48 MB
-# arrays measured slower, each one a fresh mapping whose pages fault in
+# keeps each estimator's arrays of draws near 8 MB whatever the block size;
+# 48 MB arrays measured slower, each one a fresh mapping whose pages fault in
 _CHUNK_FLOATS = 1_000_000
 
 
@@ -162,7 +162,7 @@ def simulate_rtp(params, trials: int, rng: RngSpec) -> EstimateWithError:
             / (params.m * params.p_b)
         )
     hits = 0
-    for n in _chunks(trials, 4_000_000):
+    for n in _chunks(trials, _CHUNK_FLOATS):
         h = gen.exponential(params.omega_u, n)
         hits += int(np.count_nonzero(h >= need))
     return _binomial_estimate(hits, trials)
@@ -177,7 +177,7 @@ def simulate_rate(params, p: float, trials: int, rng: RngSpec) -> EstimateWithEr
     beta = params.m * p / (params.k * params.sigma0_sq)
     total = 0.0
     total_sq = 0.0
-    for n in _chunks(trials, 4_000_000):
+    for n in _chunks(trials, _CHUNK_FLOATS):
         h = gen.exponential(params.omega_u, n)
         r = np.log2(1.0 + beta * h)
         total += float(r.sum())

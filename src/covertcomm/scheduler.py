@@ -219,14 +219,10 @@ def update_beliefs(
     pi = state.probs
     rho = cfg.belief_persistence
     prior = rho * pi + (1.0 - rho) * (1.0 - pi)
-    # column 0 is "seen free", column 1 "seen occupied"; rows are the
-    # likelihoods given a truly occupied and a truly free slot
-    like_occ, like_free = np.array(
-        (
-            (cfg.sense_miss_prob, 1.0 - cfg.sense_miss_prob),
-            (1.0 - cfg.sense_fa_prob, cfg.sense_fa_prob),
-        )
-    ).take(observed.view(np.int8), axis=1)
+    # the likelihoods of what was seen, given a truly occupied or free slot
+    miss, fa = cfg.sense_miss_prob, cfg.sense_fa_prob
+    like_occ = np.where(observed, 1.0 - miss, miss)
+    like_free = np.where(observed, fa, 1.0 - fa)
     num = prior * like_occ
     den = num + (1.0 - prior) * like_free
     # where den is 0 the posterior keeps its prior

@@ -133,9 +133,9 @@ def log_tricomi_u(a: float, b: float, z: float) -> float:
     past the cut are one geometric series, the trapezoid rule's own sum
     of int e^(a s) ds = e^(a s_cut) / a. A tiny a (a times the peak
     width below about 4e-6) takes the same cut, since even a tail _U_DROP
-    below the peak can hold a share of the integral over its 1/a length;
-    the sum, which nears 1/a, is then kept times a, and where the peak
-    lies left of the cut, the grid is centred at the cut.
+    below the peak can hold a share of the integral over its 1/a length.
+    Past a cut the sum, which nears 1/a, is kept times a, and where the
+    peak lies left of the cut, the grid is centred at the cut.
     psi is taken relative to its peak value, so the result stays finite
     even when U itself would overflow or underflow a double.
     """
@@ -186,7 +186,7 @@ def log_tricomi_u(a: float, b: float, z: float) -> float:
     # |c log(1+e^s) - z e^s| <= (|c| + z) e^s, and the nodes beyond it are
     # summed in closed form: e^psi(cut) sum_{j>=1} e^(-a j step)
     tiny = math.exp(-_U_DROP) > _U_LEFT_TOL * a * width
-    log_cut = None
+    scale, log_gamma, log_cut = 1.0, math.lgamma(a), None
     if lo > _U_REACH_MAX or tiny:
         lo = 1
         log_bound = math.log(abs(c) + z) + s_pk - math.log(_U_TAIL_TOL)
@@ -202,26 +202,23 @@ def log_tricomi_u(a: float, b: float, z: float) -> float:
         while log_bound > lo * width and lo <= _U_REACH_MAX:
             lo *= 2
         log_cut = float(psi(-lo * width))
-    # for a tiny a the sum nears 1/a, past a double for a subnormal a: keep
-    # it times a, over a Gamma(a) = Gamma(1 + a)
-    scale = a if tiny else 1.0
+        # the tail's sum nears 1/a, past a double for a subnormal a: keep
+        # the sum times a, over a Gamma(a) = Gamma(1 + a)
+        scale, log_gamma = a, math.lgamma(1.0 + a)
     while psi(hi * width) > -_U_DROP and max(lo, hi) <= _U_REACH_MAX:
         hi *= 2
     if max(lo, hi) > _U_REACH_MAX:
         raise ConvergenceError(f"tricomi U integrand wider than {_U_REACH_MAX} steps")
 
     def tail(step):
-        # scale times the nodes past the cut, e^psi(cut) / expm1(a step);
+        # a times the nodes past the cut, a e^psi(cut) / expm1(a step);
         # x / expm1(x) = 1 where x = a step underflows
         if log_cut is None:
             return 0.0
         x = a * step
-        if not tiny:
-            return math.exp(log_cut) / math.expm1(x)
         return math.exp(log_cut) / step * (x / math.expm1(x) if x else 1.0)
 
     # log(centre value / Gamma(a)), with log(1+t*) = -log(1-u) and z t* = zt
-    log_gamma = math.lgamma(1.0 + a) if tiny else math.lgamma(a)
     log_peak = a * s_pk - c * log_1mu - zt - log_gamma
     nodes = total = 0.0
     for level in range(_U_LEVEL_MAX + 1):

@@ -129,6 +129,10 @@ def test_miss_detection_conditional_small_first_weight(q, L, k, m, gamma_e, p_b,
 def test_miss_detection_conditional_infinite_edges():
     # x = rho g / (rho g + sigma0_sq) rounds to 1 here
     assert miss_detection_conditional(_BASE.with_(p_b=1e19), 1.0) == 0.0
+    # rho g / sigma0_sq = 2e307: the weights' mode overflows, every weight
+    # is below e^-700 and the sum is taken as 0
+    tiny_noise = SystemParams(sigma0_sq=1e-300, p_b=1e10)
+    assert miss_detection_conditional(tiny_noise, 1.0) == 0.0
     # infinite received power: the warden never misses
     assert miss_detection_conditional(_SMALL, math.inf) == 0.0
     assert miss_detection_conditional(_SMALL.with_(p_b=math.inf), 1.0) == 0.0
@@ -353,6 +357,18 @@ def test_conditional_miss_reads_only_the_shapes_it_needs():
     # is 1 to double precision and this is its partial sum at rel_tol 1e-12
     params = SystemParams(gamma_e=1e4, p_b=1e4)
     assert abs(miss_detection_conditional(params, 1.0) - 0.999999999999028) <= 1e-13
+
+
+def test_conditional_miss_series_out_of_terms():
+    # two terms are not enough at g = 1, p_b = 100; P(512 + n, 1024) is 1 to
+    # within 1e-60 for both, so the partial sum is the first two NB weights
+    params = _BASE.with_(p_b=100.0)
+    x = params.rho / (params.rho + 1.0)
+    with pytest.raises(ConvergenceError, match="conditional miss series") as err:
+        miss_detection_conditional(params, 1.0, SeriesControl(max_terms=2))
+    assert err.value.terms == 2
+    want = (1.0 - x) ** 32 * (1.0 + 32.0 * x)
+    assert err.value.partial == pytest.approx(want, rel=1e-13)
 
 
 def test_shape_table_cap_raises():

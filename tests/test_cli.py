@@ -52,6 +52,8 @@ def test_config_rejects_unknown_and_malformed(tmp_path):
         cli.load_config(None, ["q 8"])
     with pytest.raises(ValueError, match="^--set: config key 'q'"):
         cli.load_config(None, ["q=notanint"])
+    with pytest.raises(ValueError, match="not a boolean: 'maybe'"):
+        cli.load_config(None, ["shared_control_matrix=maybe"])
 
 
 # a valid non-default value for every field of SystemParams and
@@ -107,6 +109,8 @@ def test_grid_parsers():
     assert cli._parse_float_grid("3:9:1") == [3.0]   # single-point grid
     with pytest.raises(ValueError):
         cli._parse_float_grid("0:10:0")
+    with pytest.raises(ValueError, match="lo:hi:n"):
+        cli._parse_float_grid("0:1")
     with pytest.raises(ValueError):
         cli._parse_int_list("5:2")
 
@@ -356,7 +360,7 @@ def test_schedule_trace_matches_per_cell_occupant(tmp_path, capsys):
 
 def test_schedule_rejects_nonpositive_episodes(tmp_path, capsys):
     stats_json = tmp_path / "stats.json"
-    for n in ("0", "-2"):
+    for n in ("0", "-2", "x"):
         with pytest.raises(SystemExit) as exc:
             cli.main(["schedule", "--episodes", n, "--stats-json", str(stats_json)])
         assert exc.value.code == 2

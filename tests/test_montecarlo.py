@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from covertcomm import montecarlo
 from covertcomm.analytic import (
     covert_rate,
     false_alarm_prob,
@@ -94,6 +95,8 @@ def test_trial_counts_must_be_integers():
     fa, _ = simulate_detector(_SMALL, np.int64(150), RngSpec(1, 0))
     assert fa.trials == 150 and type(fa.trials) is int
     assert detector_statistic_samples(_SMALL, np.int32(3), RngSpec(1, 0)).shape == (3,)
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        detector_statistic_samples(_SMALL, 0, RngSpec(1, 0))
 
 
 def test_detector_reproducible_and_stream_sensitive():
@@ -185,6 +188,20 @@ def test_rate_matches_closed_form():
     est = simulate_rate(_BASE, 1.0, trials=100_000, rng=RngSpec(13, 0))
     truth = covert_rate(_BASE, 1.0)
     assert abs(est.mean - truth) <= 3.0 * est.std_error
+
+
+def test_rtp_and_rate_span_chunks(monkeypatch):
+    # the same draws in the same order, so a run over chunks of 1000
+    # counts the same hits and sums the same rates as one chunk
+    params = _BASE.with_(p_b=1.0)
+    rtp_whole = simulate_rtp(params, trials=2_500, rng=RngSpec(41, 0))
+    rate_whole = simulate_rate(params, 1.0, trials=2_500, rng=RngSpec(41, 1))
+    monkeypatch.setattr(montecarlo, "_CHUNK_FLOATS", 1_000)
+    assert simulate_rtp(params, trials=2_500, rng=RngSpec(41, 0)) == rtp_whole
+    rate = simulate_rate(params, 1.0, trials=2_500, rng=RngSpec(41, 1))
+    assert rate.trials == rate_whole.trials
+    assert rate.mean == pytest.approx(rate_whole.mean, rel=1e-12, abs=0.0)
+    assert rate.std_error == pytest.approx(rate_whole.std_error, rel=1e-9, abs=0.0)
 
 
 def test_rate_rejects_bad_power():

@@ -70,6 +70,12 @@ def test_power_upper_bound_infeasible_at_p_min():
         power_upper_bound(_BASE, p_min=1e4, p_max=1e5)
 
 
+def test_power_upper_bound_rejects_nonpositive_tol():
+    for tol in (0.0, -1e-6, math.nan):
+        with pytest.raises(ValueError, match="tol must be > 0"):
+            power_upper_bound(_BASE, p_max=1e5, tol=tol)
+
+
 def test_power_upper_bound_rejects_short_screen():
     # one screening point never evaluates dep at p_max, where the q=8
     # instance is far from covert (dep ~ 0.085 against a 0.9 target)
@@ -259,7 +265,7 @@ def test_walk_falls_back_when_the_crossing_is_off(monkeypatch):
 
     def off(*args):
         p_star, margin = crossing(*args)
-        return p_star * (1.0 + 1e-3), margin
+        return p_star * shift, margin
 
     def recorded(*args):
         walks.append(args[5] if len(args) > 5 else None)
@@ -267,12 +273,34 @@ def test_walk_falls_back_when_the_crossing_is_off(monkeypatch):
 
     monkeypatch.setattr(optimizer, "_crossing", off)
     monkeypatch.setattr(optimizer, "_bisect", recorded)
-    for k in (1, 4, 64):
-        walks.clear()
-        params = _BASE.with_(k=k)
-        assert power_upper_bound(params, p_max=1e5) == _plain_upper_bound(params, p_max=1e5)
-        # the steered walk ends on the wrong side, so the plain walk reruns
-        assert len(walks) == 2 and walks[0] is not None and walks[1] is None
+    # a crossing placed high fails the check at the walk's lo end, one
+    # placed low the check at its hi end
+    for shift in (1.0 + 1e-3, 1.0 - 1e-3):
+        for k in (1, 4, 64):
+            walks.clear()
+            params = _BASE.with_(k=k)
+            want = _plain_upper_bound(params, p_max=1e5)
+            assert power_upper_bound(params, p_max=1e5) == want
+            # the steered walk ends on the wrong side, so the plain walk reruns
+            assert len(walks) == 2 and walks[0] is not None and walks[1] is None
+
+
+def test_walk_falls_back_when_newton_fails(monkeypatch):
+    md_many = optimizer._md_many
+
+    def no_slope(params, p_b, slope=False):
+        if slope:
+            raise ConvergenceError("slope not converged")
+        return md_many(params, p_b)
+
+    want = _plain_upper_bound(_BASE, p_max=1e5)
+    # the slope's average raises inside Newton's method
+    monkeypatch.setattr(optimizer, "_md_many", no_slope)
+    assert power_upper_bound(_BASE, p_max=1e5) == want
+    monkeypatch.undo()
+    # Newton's method never settles
+    monkeypatch.setattr(optimizer, "_NEWTON_MAX", 0)
+    assert power_upper_bound(_BASE, p_max=1e5) == want
 
 
 def test_screen_convergence_error_names_first_failing_power(monkeypatch):

@@ -108,7 +108,7 @@ def test_sense_rows_match_consecutive_calls():
         assert whole_gen.random() == row_gen.random()
 
 
-@pytest.mark.parametrize(
+_BELIEF_CFGS = pytest.mark.parametrize(
     "cfg",
     [
         GridConfig(m=1, users_per_bs=(1,), q=8, sense_miss_prob=0.1,
@@ -119,6 +119,9 @@ def test_sense_rows_match_consecutive_calls():
     ],
     ids=["noisy", "certain"],
 )
+
+
+@_BELIEF_CFGS
 def test_update_beliefs_rows_match_row_calls(cfg):
     gen = np.random.default_rng(8)
     probs = gen.random((4, 8))
@@ -129,6 +132,25 @@ def test_update_beliefs_rows_match_row_calls(cfg):
     for b in range(4):
         row = update_beliefs(BeliefState(probs=probs[b]), observed[b], cfg).probs
         assert whole[b].tobytes() == row.tobytes()
+
+
+@_BELIEF_CFGS
+def test_update_beliefs_matches_scalar_bayes_rule(cfg):
+    # the rule written out with Python floats, one slot at a time, in the
+    # same operation order; a zero evidence keeps the prior
+    gen = np.random.default_rng(9)
+    probs = gen.random((4, 8))
+    probs[:, :2] = (0.0, 1.0)
+    observed = gen.random((4, 8)) < 0.5
+    rho, miss, fa = cfg.belief_persistence, cfg.sense_miss_prob, cfg.sense_fa_prob
+    want = []
+    for pi, seen in zip(probs.ravel().tolist(), observed.ravel().tolist()):
+        prior = rho * pi + (1.0 - rho) * (1.0 - pi)
+        num = prior * ((1.0 - miss) if seen else miss)
+        den = num + (1.0 - prior) * (fa if seen else (1.0 - fa))
+        want.append(num / den if den > 0.0 else prior)
+    got = update_beliefs(BeliefState(probs=probs), observed, cfg).probs
+    assert got.tobytes() == np.array(want).reshape(probs.shape).tobytes()
 
 
 def test_update_beliefs_converges_on_static_truth():
@@ -342,6 +364,10 @@ def test_hop_violations_counted_for_custom_policy():
     st = run_episode(cfg, stubborn, RngSpec(81, 0))
     assert st.hop_violations == 99
     assert st.pattern_entropy == 0.0
+    # a policy that idles every user uses no slot at all
+    idle = run_episode(cfg, lambda beliefs, prev, gen: np.full(prev.size, -1),
+                       RngSpec(81, 0))
+    assert idle.hop_violations == 0 and idle.pattern_entropy == 0.0
 
 
 def test_entropy_orders_policies():
