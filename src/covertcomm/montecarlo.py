@@ -137,11 +137,10 @@ def detector_statistic_samples(
     out = np.empty(trials)
     pos = 0
     for n in _chunks(trials, chunk):
-        if not signal:
-            out[pos : pos + n] = _block_energy(gen, params, n)
-        else:
+        gains = None
+        if signal:
             gains = g if g is not None else gen.exponential(params.omega_e, n)
-            out[pos : pos + n] = _block_energy(gen, params, n, gains)
+        out[pos : pos + n] = _block_energy(gen, params, n, gains)
         pos += n
     return out
 

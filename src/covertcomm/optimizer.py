@@ -257,12 +257,9 @@ def max_users(
     frontier is contiguous; k_star is 0 when no k works. The k field of
     the passed params is ignored.
     """
-    per_k = []
-    k_star = 0
-    for k in range(1, params.q + 1):
-        pk = params.with_(k=k)
-        result = optimal_power(pk, p_min, p_max, tol)
-        per_k.append((k, result.bounds))
-        if result.bounds.feasible:
-            k_star = k
-    return CapacityResult(k_star=k_star, per_k=tuple(per_k))
+    per_k = tuple(
+        (k, optimal_power(params.with_(k=k), p_min, p_max, tol).bounds)
+        for k in range(1, params.q + 1)
+    )
+    k_star = max((k for k, b in per_k if b.feasible), default=0)
+    return CapacityResult(k_star=k_star, per_k=per_k)

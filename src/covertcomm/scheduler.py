@@ -16,18 +16,13 @@ import numpy as np
 from .montecarlo import RngSpec
 from .params import _integer
 
-FREE = "free"
-JAMMER = "jammer"
-EXTERNAL = "external"
-
 GREEDY_BELIEF = "greedy_belief"
 RANDOM_HOP = "random_hop"
 POLICIES = (GREEDY_BELIEF, RANDOM_HOP)
 
-_SRC_FREE = 0
 _SRC_JAMMER = 1
 _SRC_EXTERNAL = 2
-_SRC_TAGS = (FREE, JAMMER, EXTERNAL)
+_SRC_TAGS = ("free", "jammer", "external")
 
 # doubles per greedy_belief draw in an episode (256 KB)
 _RUN_FLOATS = 1 << 15
@@ -163,18 +158,15 @@ class OccupancyGrid:
     def rows(self):
         """Yield (t, f, tag) for every cell, in row-major order.
 
-        Same tags as occupant(), built one time slot at a time.
+        Same tags as occupant(), read off one table of the whole grid.
         """
-        user_tags = [f"user{u}" for u in range(self.assignments.shape[1])]
-        for t, (src, slots) in enumerate(
-            zip(self.source.tolist(), self.assignments.tolist())
-        ):
-            tags = [_SRC_TAGS[s] for s in src]
-            # highest-numbered user first, so the lowest one on a slot wins
-            for u in range(len(slots) - 1, -1, -1):
-                if slots[u] >= 0:
-                    tags[slots[u]] = user_tags[u]
-            for f, tag in enumerate(tags):
+        tags = np.array(_SRC_TAGS, dtype=object)[self.source]
+        # highest-numbered user first, so the lowest one on a cell wins
+        for u in reversed(range(self.assignments.shape[1])):
+            ts = np.flatnonzero(self.assignments[:, u] >= 0)
+            tags[ts, self.assignments[ts, u]] = f"user{u}"
+        for t, row in enumerate(tags):
+            for f, tag in enumerate(row):
                 yield t, f, tag
 
 
@@ -367,8 +359,7 @@ def run_episode_trace(cfg: GridConfig, policy, rng: RngSpec):
     q, m, L = cfg.q, cfg.m, cfg.L
     n_users = cfg.k
     grid = OccupancyGrid(q, cfg.p, n_users)
-    jam = np.zeros(q, dtype=bool)
-    jam[list(cfg.jammed_slots)] = True
+    jammed = sorted(cfg.jammed_slots)
 
     # greedy_belief keeps one row per station; a custom policy's stations
     # each keep their own state
@@ -389,7 +380,7 @@ def run_episode_trace(cfg: GridConfig, policy, rng: RngSpec):
         u = gen.random((min(run, cfg.p - t0), m + 1 if greedy else 1, q))
         src = grid.source[t0 : t0 + len(u)]
         src[u[:, 0] < cfg.external_occupancy_prob] = _SRC_EXTERNAL
-        src[:, jam] = _SRC_JAMMER
+        src[:, jammed] = _SRC_JAMMER
         truth = src > 0
         if greedy:
             seen = _seen(u[:, 1:], truth[:, None], cfg)

@@ -1,6 +1,7 @@
 """Monte Carlo detector and link simulators: statistical agreement with
 the closed forms, reproducibility, and distributional sanity."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -202,6 +203,24 @@ def test_rtp_and_rate_span_chunks(monkeypatch):
     assert rate.trials == rate_whole.trials
     assert rate.mean == pytest.approx(rate_whole.mean, rel=1e-12, abs=0.0)
     assert rate.std_error == pytest.approx(rate_whole.std_error, rel=1e-9, abs=0.0)
+
+
+# sha256 of the draws' bytes, recorded with a second energy call per chunk
+# for the noise-only law
+_SAMPLE_SHA256 = {
+    (False, None): "f54bdc037f7d95f7bcdc0457630a19f83e1757e60a069c5c61d58f9d489fd0c2",
+    (True, None): "8164b3288f7086719575d907cce2b7d3a242eacbf2a2a48cb89787e61442e248",
+    (True, 0.7): "e9ce6244f2e01d83013a095a99ce9c35861ba59863243534053d0a62bdf060de",
+}
+
+
+@pytest.mark.parametrize("signal, g", list(_SAMPLE_SHA256))
+def test_statistic_samples_keep_their_bytes_across_chunks(monkeypatch, signal, g):
+    # two rows per chunk, so 37 trials span 19 chunks
+    monkeypatch.setattr(montecarlo, "_CHUNK_FLOATS", 16)
+    params = SystemParams(q=4, L=2, k=1, p_b=50.0)
+    x = detector_statistic_samples(params, 37, RngSpec(5, 0), signal=signal, g=g)
+    assert hashlib.sha256(x.tobytes()).hexdigest() == _SAMPLE_SHA256[signal, g]
 
 
 def test_rate_rejects_bad_power():

@@ -12,6 +12,8 @@ from covertcomm.analytic import covert_rate, dep, false_alarm_prob, rtp
 from covertcomm.optimizer import (
     InfeasibleError,
     MonotonicityError,
+    OptimalPowerResult,
+    PowerBounds,
     max_users,
     optimal_power,
     power_lower_bound,
@@ -161,6 +163,23 @@ def test_max_users_matches_per_k_table():
     assert ks == list(range(1, _SMALL.q + 1))
     flags = [b.feasible for _, b in res.per_k]
     assert flags == sorted(flags, reverse=True)
+
+
+def test_max_users_reads_k_star_off_the_per_k_table(monkeypatch):
+    def solver(feasible):
+        def solve(params, p_min, p_max, tol):
+            bounds = PowerBounds(1.0, 2.0, params.k in feasible)
+            return OptimalPowerResult(bounds, None, None)
+
+        return solve
+
+    monkeypatch.setattr(optimizer, "optimal_power", solver({2, 5}))
+    res = max_users(_SMALL)
+    assert res.k_star == 5
+    assert [k for k, _ in res.per_k] == list(range(1, _SMALL.q + 1))
+    assert [k for k, b in res.per_k if b.feasible] == [2, 5]
+    monkeypatch.setattr(optimizer, "optimal_power", solver(set()))
+    assert max_users(_SMALL).k_star == 0
 
 
 def test_max_users_vacuous_constraints_fill_the_band():

@@ -402,16 +402,36 @@ def test_trace_grid_tags():
     assert stats.jammer_hits == 3  # the three slots spent on frequency 0
 
 
-def test_grid_rows_match_occupant():
-    # several users per slot, idle users, and every background tag
+def _random_slots(rng, shape, q):
+    return rng.integers(-1, q, size=shape)
+
+
+@pytest.mark.parametrize(
+    "q, p, n_users, assign, shared",
+    [
+        # several users per slot, idle users, and every background tag
+        (6, 40, 5, _random_slots, True),
+        (1, 1, 0, _random_slots, False),
+        (5, 12, 4, lambda rng, shape, q: (np.arange(shape[0]) % q)[:, None], True),
+        (6, 20, 3, lambda rng, shape, q: -1, False),
+        (64, 300, 8, _random_slots, True),
+    ],
+    ids=["mixed", "one_cell_no_users", "all_on_one_slot", "all_idle", "q64_p300"],
+)
+def test_grid_rows_match_occupant(q, p, n_users, assign, shared):
     rng = np.random.default_rng(3)
-    grid = OccupancyGrid(q=6, p=40, n_users=5)
+    grid = OccupancyGrid(q=q, p=p, n_users=n_users)
     grid.source[:] = rng.integers(0, 3, size=grid.source.shape)
-    grid.assignments[:] = rng.integers(-1, 6, size=grid.assignments.shape)
-    want = [(t, f, grid.occupant(t, f)) for t in range(40) for f in range(6)]
-    assert list(grid.rows()) == want
-    assert any(len(set(r[r >= 0])) < np.sum(r >= 0) for r in grid.assignments)
-    assert {"free", "jammer", "external"} <= {tag for _, _, tag in want}
+    grid.assignments[:] = assign(rng, grid.assignments.shape, q)
+    want = [(t, f, grid.occupant(t, f)) for t in range(p) for f in range(q)]
+    rows = list(grid.rows())
+    assert rows == want
+    assert all(
+        type(t) is int and type(f) is int and type(tag) is str for t, f, tag in rows
+    )
+    assert shared == any(len(set(r[r >= 0])) < np.sum(r >= 0) for r in grid.assignments)
+    if q > 1:
+        assert {"free", "jammer", "external"} <= {tag for _, _, tag in want}
 
 
 def test_episode_without_users():
