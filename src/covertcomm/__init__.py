@@ -6,14 +6,8 @@ Carlo oracles for every closed form, feasible-power and user-capacity
 solvers, and a desk-scale dynamic spectrum-occupation scheduler.
 """
 
-from .analytic import (
-    covert_rate,
-    dep,
-    false_alarm_prob,
-    miss_detection_conditional,
-    miss_detection_prob,
-    rtp,
-)
+import importlib
+
 from .montecarlo import (
     EstimateWithError,
     RngSpec,
@@ -21,17 +15,6 @@ from .montecarlo import (
     simulate_detector,
     simulate_rate,
     simulate_rtp,
-)
-from .optimizer import (
-    CapacityResult,
-    InfeasibleError,
-    MonotonicityError,
-    OptimalPowerResult,
-    PowerBounds,
-    max_users,
-    optimal_power,
-    power_lower_bound,
-    power_upper_bound,
 )
 from .params import SystemParams, power_from_snr_db, snr_db_from_power
 from .scheduler import (
@@ -49,9 +32,30 @@ from .scheduler import (
     sense,
     update_beliefs,
 )
-from .specfun import ConvergenceError, SeriesControl
 
 __version__ = "0.1.0"
+
+# name -> defining submodule, for the submodules that load scipy.special.
+# Each name is imported on first access (PEP 562), so a process that uses
+# only params, montecarlo and scheduler starts without scipy.
+_LAZY = {
+    **dict.fromkeys(("covert_rate", "dep", "false_alarm_prob",
+                     "miss_detection_conditional", "miss_detection_prob", "rtp"),
+                    "analytic"),
+    **dict.fromkeys(("CapacityResult", "InfeasibleError", "MonotonicityError",
+                     "OptimalPowerResult", "PowerBounds", "max_users", "optimal_power",
+                     "power_lower_bound", "power_upper_bound"), "optimizer"),
+    **dict.fromkeys(("ConvergenceError", "SeriesControl"), "specfun"),
+}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_LAZY[name]}"), name)
+    globals()[name] = value
+    return value
+
 
 __all__ = [
     "BeliefState",

@@ -16,17 +16,10 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from . import analytic, montecarlo, optimizer, scheduler
+# the closed forms and solvers load scipy.special: the commands that run
+# them import them, so schedule and --help start without scipy
+from . import montecarlo, scheduler
 from .params import SystemParams, power_from_snr_db
-from .specfun import (
-    ConvergenceError,
-    SeriesControl,
-    exp_e1_scaled,
-    kummer_1f1,
-    reg_gamma_lower,
-    reg_gamma_upper,
-    tricomi_u,
-)
 
 # config key -> field type, for both dataclasses (q, L and m are in both)
 _SYSTEM_KEYS = {f.name: f.type for f in fields(SystemParams)}
@@ -182,13 +175,16 @@ def _sweep(args, points, compute, columns, failed_cells=None) -> int:
     gets NaN (or its failed_cells) for its outputs, and makes the exit
     code 1.
     """
+    from .optimizer import MonotonicityError
+    from .specfun import ConvergenceError
+
     rows = []
     failed = False
     for stream, inputs in enumerate(points):
         row = {**dict.fromkeys(columns, math.nan), **inputs}
         try:
             row.update(compute(stream, **inputs))
-        except (ValueError, ConvergenceError, optimizer.MonotonicityError) as err:
+        except (ValueError, ConvergenceError, MonotonicityError) as err:
             # stderr only, so the table on stdout stays byte-identical
             where = ", ".join(f"{key}={_fmt_cell(v)}" for key, v in inputs.items())
             print(f"row {where} failed: {type(err).__name__}: {err}", file=sys.stderr)
@@ -216,6 +212,8 @@ def _snr_k_sweep(args, compute, columns) -> int:
 
 
 def _cmd_dep(args) -> int:
+    from . import analytic
+
     def compute(params, rng):
         fa, md = montecarlo.simulate_detector(params, args.trials, rng)
         return {
@@ -228,6 +226,8 @@ def _cmd_dep(args) -> int:
 
 
 def _cmd_rtp(args) -> int:
+    from . import analytic
+
     def compute(params, rng):
         est = montecarlo.simulate_rtp(params, args.trials, rng)
         return {
@@ -240,6 +240,8 @@ def _cmd_rtp(args) -> int:
 
 
 def _cmd_power_bounds(args) -> int:
+    from . import optimizer
+
     base = load_config(args.config, args.set).system_params()
     points = [{"k": k} for k in _parse_int_list(args.k_range)]
 
@@ -258,6 +260,8 @@ def _cmd_power_bounds(args) -> int:
 
 
 def _cmd_capacity(args) -> int:
+    from . import optimizer
+
     base = load_config(args.config, args.set).system_params()
     snrs = _parse_float_grid(args.snr_db)
     eps_list = [float(part) for part in args.eps_u_list.split(",")]
@@ -303,9 +307,14 @@ def _mc_gap(exact, mean, se, floor=0.0) -> float:
     return abs(exact - mean) - (3.0 * se + floor)
 
 
-def _validate_checks(params: SystemParams, trials: int, seed: int, ctl: SeriesControl):
-    """The report's checks in order; each grid's error is its _worst."""
+def _validate_checks(params: SystemParams, trials: int, seed: int, ctl):
+    """The report's checks in order, with ctl the SeriesControl under test;
+    each grid's error is its _worst."""
     from scipy import integrate  # lazy: importing covertcomm leaves it out
+
+    from . import analytic, optimizer
+    from .specfun import (exp_e1_scaled, kummer_1f1, reg_gamma_lower,
+                          reg_gamma_upper, tricomi_u)
 
     def rng(stream):
         return montecarlo.RngSpec(seed, stream)
@@ -415,6 +424,8 @@ def _validate_checks(params: SystemParams, trials: int, seed: int, ctl: SeriesCo
 
 
 def _cmd_validate(args) -> int:
+    from .specfun import SeriesControl
+
     cfg = load_config(args.config, args.set)
     params = cfg.system_params()
     ctl = SeriesControl(rel_tol=args.rel_tol)

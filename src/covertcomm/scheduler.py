@@ -380,8 +380,9 @@ def run_episode_trace(cfg: GridConfig, policy, rng: RngSpec):
         u = gen.random((min(run, cfg.p - t0), m + 1 if greedy else 1, q))
         src = grid.source[t0 : t0 + len(u)]
         src[u[:, 0] < cfg.external_occupancy_prob] = _SRC_EXTERNAL
-        src[:, jammed] = _SRC_JAMMER
-        truth = src > 0
+        if greedy or custom:  # random_hop reads no truth; its jammed columns come last
+            src[:, jammed] = _SRC_JAMMER
+            truth = src > 0
         if greedy:
             seen = _seen(u[:, 1:], truth[:, None], cfg)
         for t in range(t0, t0 + len(u)):
@@ -414,6 +415,7 @@ def run_episode_trace(cfg: GridConfig, policy, rng: RngSpec):
                     overloads += picks.count(-1)
                 alloc[lo:hi] = picks
             grid.assignments[t] = alloc
+    grid.source[:, jammed] = _SRC_JAMMER
 
     return _episode_stats(grid, L, overloads), grid
 

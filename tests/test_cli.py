@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from covertcomm import cli
+from covertcomm import analytic, cli, optimizer, specfun
 from covertcomm.analytic import _cond_md_block, dep, rtp
 from covertcomm.montecarlo import RngSpec
 from covertcomm.optimizer import MonotonicityError, max_users, optimal_power
@@ -399,8 +399,8 @@ def test_validate_passes_and_is_deterministic(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("owner,target,failing", [
-    (cli, "tricomi_u", {"tricomi_power_identity", "tricomi_kummer_transform"}),
-    (cli.analytic, "dep", {"dep_vs_mc", "dep_at_power_upper_bound"}),
+    (specfun, "tricomi_u", {"tricomi_power_identity", "tricomi_kummer_transform"}),
+    (analytic, "dep", {"dep_vs_mc", "dep_at_power_upper_bound"}),
 ], ids=["tricomi_u", "dep"])
 def test_validate_fails_a_nan_error(capsys, monkeypatch, owner, target, failing):
     # a NaN anywhere on a check's grid makes its error NaN, and so fails it;
@@ -499,7 +499,7 @@ def test_failed_rows_say_why(capsys, monkeypatch):
     def fail(params, *args, **kwargs):
         raise MonotonicityError(f"no bracket at k={params.k}")
 
-    monkeypatch.setattr(cli.optimizer, "optimal_power", fail)
+    monkeypatch.setattr(optimizer, "optimal_power", fail)
     code, out, err = _run(capsys, "power-bounds", "--k-range", "2:3")
     assert code == 1
     assert out == "k,p_low,p_up,feasible,p_star,rate_star\n" + "".join(

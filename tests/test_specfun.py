@@ -284,13 +284,37 @@ def test_exp_e1_scaled_rejects_nonpositive():
 
 def test_import_leaves_scipy_integrate_out():
     # the U trapezoid needs no scipy.integrate, whose import would add a
-    # third to every CLI start; only validate's rate check loads it
+    # third to every CLI start; only validate's rate check loads it. The
+    # numpy layers (params, montecarlo, scheduler) and the CLI's schedule
+    # and --help load no scipy at all; the first closed form loads
+    # scipy.special
     src = str(Path(specfun.__file__).parents[1])
-    code = (
-        f"import sys; sys.path.insert(0, {src!r}); import covertcomm.cli; "
-        "sys.exit('scipy.integrate' in sys.modules)"
-    )
-    assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+    code = f"""
+import sys
+sys.path.insert(0, {src!r})
+import covertcomm
+from covertcomm import GridConfig, RngSpec, SystemParams, run_episode, simulate_detector
+from covertcomm import cli
+
+for policy in covertcomm.POLICIES:
+    run_episode(GridConfig(q=16, p=40), policy, RngSpec(0, 1))
+simulate_detector(SystemParams(p_b=5000.0), 100, RngSpec(0, 0))
+assert cli.main(["schedule", "--episodes", "1", "--set", "p=40"]) == 0
+try:
+    cli.main(["--help"])
+except SystemExit as stop:
+    assert stop.code == 0, stop.code
+else:
+    raise AssertionError("--help did not exit")
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+assert not loaded, loaded
+covertcomm.dep(SystemParams())
+assert "scipy.special" in sys.modules
+assert "scipy.integrate" not in sys.modules
+"""
+    run = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", code],
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
 
 
 def test_series_control_validation():
