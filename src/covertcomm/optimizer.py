@@ -38,6 +38,8 @@ _NEWTON_MAX = 40
 # within the distance over which dep's own error (_DEP_ERR_REL relative,
 # _DEP_ERR_ABS absolute) could flip a decision
 _NEAR = 1e-8
+# log-spaced powers in the monotonicity screen over [p_min, p_max]
+_SCREEN_POINTS = 16
 
 
 class InfeasibleError(ValueError):
@@ -56,9 +58,10 @@ class MonotonicityError(RuntimeError):
 class PowerBounds:
     """Feasible power interval for one operating point.
 
-    p_low comes from the reliability constraint in closed form; p_up is
-    the covertness boundary found numerically. feasible is False when
-    the interval is empty, in which case p_up may still hold the
+    p_low comes from the reliability constraint in closed form and may
+    exceed the power budget; p_up is the covertness boundary found
+    numerically, NaN when not even p_min is covert. feasible is
+    p_up >= max(p_low, p_min); when it is False p_up may still hold the
     covertness boundary for diagnostic use.
     """
 
@@ -82,25 +85,19 @@ class CapacityResult:
     per_k: tuple[tuple[int, PowerBounds], ...]
 
 
-def power_lower_bound(params: SystemParams, p_absolute_cap: float = 1e12) -> float:
+def power_lower_bound(params: SystemParams) -> float:
     """Smallest power meeting rtp >= 1 - eps_u, in closed form.
 
     Inverting the exponential outage law gives
     p_low = -gamma_u k sigma0_sq / (m omega_u ln(1 - eps_u)).
-    A zero decoding threshold or a vacuous reliability slack makes any
-    positive power reliable; a bound beyond p_absolute_cap (eps_u very
-    close to 0) is treated as infeasible rather than returned.
+    A vacuous reliability slack makes any positive power reliable; the
+    bound may exceed any power budget, and is inf at gamma_u = inf.
     """
-    if params.gamma_u == 0.0 or params.eps_u == 1.0:
-        return 0.0
-    p_low = -(
+    if params.eps_u == 1.0:
+        return 0.0  # the formula is inf / inf at gamma_u = inf
+    return -(
         params.gamma_u * params.k * params.sigma0_sq
     ) / (params.m * params.omega_u * math.log1p(-params.eps_u))
-    if p_low > p_absolute_cap:
-        raise InfeasibleError(
-            f"reliability needs p >= {p_low:.3g}, above the cap {p_absolute_cap:.3g}"
-        )
-    return p_low
 
 
 def power_upper_bound(
@@ -108,7 +105,6 @@ def power_upper_bound(
     p_min: float = 1e-6,
     p_max: float = 1e3,
     tol: float = 1e-6,
-    screen_points: int = 16,
 ) -> float:
     """Largest power in [p_min, p_max] keeping dep >= 1 - eps_e.
 
@@ -130,12 +126,9 @@ def power_upper_bound(
         raise ValueError(f"need a finite p_max, got {p_max}")
     if not tol > 0.0:
         raise ValueError(f"tol must be > 0, got {tol}")
-    if screen_points < 2:
-        # one point would return p_max without ever evaluating dep there
-        raise ValueError(f"screen_points must be >= 2, got {screen_points}")
     target = 1.0 - params.eps_e
 
-    grid = np.geomspace(p_min, p_max, screen_points)
+    grid = np.geomspace(p_min, p_max, _SCREEN_POINTS)
     deps = false_alarm_prob(params) + _md_many(params, grid)
     slack = 1e-7
     if np.any(deps[1:] > deps[:-1] + slack):
@@ -229,15 +222,15 @@ def optimal_power(
 
     The ergodic rate is strictly increasing in power, so whenever
     [max(p_low, p_min), p_up] is non-empty the optimum is p_up itself.
+    p_up is NaN when not even p_min is covert; only that bound raises
+    InfeasibleError, and it is caught here.
     """
-    p_low, p_up = math.inf, math.nan
+    p_low, p_up = power_lower_bound(params), math.nan
     try:
-        p_low = power_lower_bound(params)
         p_up = power_upper_bound(params, p_min, p_max, tol)
     except InfeasibleError:
         pass
-    # a missing bound (p_low = inf, p_up = NaN) fails both comparisons
-    feasible = p_up >= p_low and p_up >= p_min
+    feasible = p_up >= max(p_low, p_min)  # False for a NaN p_up
     return OptimalPowerResult(
         bounds=PowerBounds(p_low=p_low, p_up=p_up, feasible=feasible),
         p_star=p_up if feasible else None,

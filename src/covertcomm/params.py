@@ -107,8 +107,14 @@ class SystemParams:
 
 
 def power_from_snr_db(snr_db: float, sigma0_sq: float = 1.0) -> float:
-    """Transmit power giving the stated SNR over a noise floor sigma0_sq."""
-    return sigma0_sq * 10.0 ** (snr_db / 10.0)
+    """Transmit power giving the stated SNR over a noise floor sigma0_sq.
+
+    inf past about 3083 dB, where the power of ten overflows a float.
+    """
+    try:
+        return sigma0_sq * 10.0 ** (snr_db / 10.0)
+    except OverflowError:
+        return math.inf
 
 
 def snr_db_from_power(p_b: float, sigma0_sq: float = 1.0) -> float:

@@ -293,6 +293,33 @@ def test_capacity_matches_library(capsys):
         assert int(line.split(",")[2]) == want
 
 
+def test_capacity_reliability_above_1e12(capsys):
+    # every k needs at most 4e13 for reliability, under a 1e14 budget
+    code, out, err = _run(
+        capsys, "capacity", "--snr-db", "140", "--eps-u-list", "1e-13",
+        "--set", "eps_e=1", "--set", "q=8", "--set", "L=2", "--set", "m=2",
+    )
+    assert (code, out, err) == (0, "snr_db,eps_u,k_star\n140,1e-13,8\n", "")
+
+
+def test_snr_past_the_float_range(capsys):
+    # the budget maps to inf: dep and rtp take it as the limit, the solver
+    # refuses it as a failed row
+    code, out, err = _run(capsys, "dep", "--snr-db", "4000", "--k-list", "4",
+                          "--trials", "200")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1] == "4000,4,1.030632969e-70,0,0"
+    code, out, err = _run(capsys, "rtp", "--snr-db", "4000", "--k-list", "4",
+                          "--trials", "200")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1] == "4000,4,1,1,0"
+    code, out, err = _run(capsys, "capacity", "--snr-db", "4000", "--eps-u-list", "0.1",
+                          "--set", "q=8", "--set", "L=2", "--set", "m=2")
+    assert code == 1
+    assert out == "snr_db,eps_u,k_star\n4000,0.1,nan\n"
+    assert err == "row snr_db=4000, eps_u=0.1 failed: ValueError: need a finite p_max, got inf\n"
+
+
 def test_schedule_stats_and_trace(tmp_path, capsys):
     trace = tmp_path / "grid.csv"
     stats_json = tmp_path / "stats.json"

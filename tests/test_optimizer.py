@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from covertcomm import analytic, optimizer
@@ -19,7 +19,7 @@ from covertcomm.optimizer import (
     power_lower_bound,
     power_upper_bound,
 )
-from covertcomm.params import SystemParams
+from covertcomm.params import SystemParams, power_from_snr_db
 from covertcomm.specfun import ConvergenceError
 
 _BASE = SystemParams()  # eps_e = eps_u = 0.1
@@ -46,8 +46,9 @@ def test_power_lower_bound_round_trip():
 def test_power_lower_bound_edges():
     assert power_lower_bound(_BASE.with_(gamma_u=0.0)) == 0.0
     assert power_lower_bound(_BASE.with_(eps_u=1.0)) == 0.0
-    with pytest.raises(InfeasibleError):
-        power_lower_bound(_BASE.with_(eps_u=1e-13))
+    # the closed form at any size: the caller's budget decides feasibility
+    assert power_lower_bound(_BASE.with_(eps_u=1e-13)) == 9999999999999.5
+    assert power_lower_bound(_BASE.with_(gamma_u=math.inf)) == math.inf
 
 
 def test_power_upper_bound_hits_dep_target():
@@ -78,17 +79,6 @@ def test_power_upper_bound_rejects_nonpositive_tol():
             power_upper_bound(_BASE, p_max=1e5, tol=tol)
 
 
-def test_power_upper_bound_rejects_short_screen():
-    # one screening point never evaluates dep at p_max, where the q=8
-    # instance is far from covert (dep ~ 0.085 against a 0.9 target)
-    params = SystemParams(q=8, k=2, L=2, m=2)
-    assert dep(params.with_(p_b=1e3)) < 0.9
-    for n in (0, 1):
-        with pytest.raises(ValueError, match="screen_points"):
-            power_upper_bound(params, screen_points=n)
-    assert power_upper_bound(params, screen_points=2) < 1e3
-
-
 def test_optimal_power_feasible():
     res = optimal_power(_BASE, p_max=1e5)
     assert res.bounds.feasible
@@ -115,17 +105,36 @@ def test_optimal_power_infeasible_window():
 
 
 def test_optimal_power_reliability_unreachable():
-    res = optimal_power(_BASE.with_(eps_u=1e-13), p_max=1e5)
+    # p_low far above the budget: the covertness bound is still found
+    params = _BASE.with_(eps_u=1e-13)
+    res = optimal_power(params, p_max=1e5)
     assert not res.bounds.feasible
-    assert math.isinf(res.bounds.p_low)
-    assert res.p_star is None
-    assert math.isnan(res.bounds.p_up) and res.rate_star is None
+    assert res.bounds.p_low == 9999999999999.5
+    assert res.bounds.p_up == power_upper_bound(params, p_max=1e5)
+    assert res.p_star is None and res.rate_star is None
     # a p_min above the covertness ceiling: p_low is found, p_up is not
     res = optimal_power(_BASE, p_min=1e4, p_max=1e5)
     assert not res.bounds.feasible
     assert res.bounds.p_low == power_lower_bound(_BASE)
     assert math.isnan(res.bounds.p_up)
     assert res.p_star is None and res.rate_star is None
+
+
+def test_optimal_power_reliability_above_1e12():
+    # a reliability floor of 1e13 under a 1e30 budget: the window is open
+    params = SystemParams(eps_e=1.0, eps_u=1e-13)
+    res = optimal_power(params, p_max=1e30)
+    assert res.bounds.p_low == power_lower_bound(params) == 9999999999999.5
+    assert res.bounds.p_up == 1e30
+    assert res.bounds.feasible and res.p_star == 1e30
+
+
+def test_max_users_reliability_above_1e12():
+    # every k needs at most 4e13 for reliability, under a 140 dB budget
+    params = SystemParams(q=8, L=2, m=2, eps_e=1.0, eps_u=1e-13)
+    res = max_users(params, p_max=power_from_snr_db(140.0))
+    assert res.k_star == 8
+    assert all(b.feasible for _, b in res.per_k)
 
 
 def test_rate_star_grows_with_budget_and_slack():
@@ -336,7 +345,8 @@ def test_screen_convergence_error_names_first_failing_power(monkeypatch):
 
 
 @st.composite
-def _operating_points(draw):
+def _operating_points(draw, wide=False):
+    # wide adds eps_u down to 1e-15, eps_e up to 1 and budgets up to 1e30
     q = draw(st.sampled_from([2, 4, 8, 16, 64]))
     L = draw(st.sampled_from([1, 2, 4, 8]))
     g = draw(st.floats(1.2, 3.0))
@@ -348,10 +358,11 @@ def _operating_points(draw):
         m=draw(st.integers(1, 4)),
         gamma_e=g * q * L if raw else g,
         threshold_mode="raw" if raw else "per_sample_normalized",
-        eps_e=draw(st.floats(1e-3, 0.5)),
+        eps_e=draw(st.floats(1e-3, 1.0 if wide else 0.5)),
+        eps_u=10.0 ** draw(st.floats(-15.0, math.log10(0.5))) if wide else 0.1,
     )
     p_min = 10.0 ** draw(st.integers(-6, 0))
-    p_max = 10.0 ** draw(st.integers(1, 6))
+    p_max = 10.0 ** draw(st.integers(1, 30 if wide else 6))
     return params, p_min, p_max
 
 
@@ -366,3 +377,29 @@ def test_walk_matches_plain_bisection(point, log_powers):
     fa = false_alarm_prob(params)
     got = (fa + optimizer._md_many(params, powers)).tolist()
     assert got == [dep(params.with_(p_b=p)) for p in powers]
+
+
+def _reliable(params, p, slack):
+    # rtp >= 1 - eps_u compared in the exponent: at eps_u near 1e-15,
+    # 1 - rtp cancels
+    need = params.k * params.gamma_u * params.sigma0_sq / (params.m * p * params.omega_u)
+    return need <= -math.log1p(-params.eps_u) * (1.0 + slack)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_operating_points(wide=True))
+@example((SystemParams(eps_e=1.0, eps_u=1e-13), 1e-6, 1e30))
+def test_feasibility_agrees_with_both_constraints(point):
+    params, p_min, p_max = point
+    res = _outcome(optimal_power, params, p_min, p_max)
+    if isinstance(res, str):
+        return  # the screen refused the range; no window to judge
+    p_up = res.bounds.p_up
+    target = 1.0 - params.eps_e
+    if _reliable(params, p_max, -1e-12) and dep(params.with_(p_b=p_max)) >= target:
+        assert res.bounds.feasible and p_up == p_max
+    if res.bounds.feasible:
+        assert _reliable(params, res.p_star, 1e-12)
+        assert dep(params.with_(p_b=res.p_star)) >= target
+    elif math.isfinite(p_up):
+        assert not _reliable(params, p_up, -1e-12)

@@ -101,6 +101,16 @@ def test_snr_mapping_round_trip():
     assert power_from_snr_db(0.0, sigma0_sq=1.0) == 1.0
 
 
+def test_snr_mapping_past_the_float_range_is_inf():
+    # 10 ** 308.3 is the largest power of ten a float holds
+    assert power_from_snr_db(3080.0) == 10.0**308
+    assert power_from_snr_db(4000.0) == math.inf
+    assert power_from_snr_db(4000.0, sigma0_sq=1e-300) == math.inf
+    assert power_from_snr_db(-4000.0) == 0.0
+    # SystemParams admits p_b = inf as a domain edge
+    assert SystemParams(p_b=power_from_snr_db(4000.0)).p_b == math.inf
+
+
 def test_snr_of_zero_power_rejected():
     with pytest.raises(ValueError):
         snr_db_from_power(0.0, sigma0_sq=1.0)
