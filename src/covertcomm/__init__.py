@@ -35,26 +35,19 @@ from .scheduler import (
 
 __version__ = "0.1.0"
 
-# name -> defining submodule, for the submodules that load scipy.special.
-# Each name is imported on first access (PEP 562), so a process that uses
-# only params, montecarlo and scheduler starts without scipy.
-_LAZY = {
-    **dict.fromkeys(("covert_rate", "dep", "false_alarm_prob",
-                     "miss_detection_conditional", "miss_detection_prob", "rtp"),
-                    "analytic"),
-    **dict.fromkeys(("CapacityResult", "InfeasibleError", "MonotonicityError",
-                     "OptimalPowerResult", "PowerBounds", "max_users", "optimal_power",
-                     "power_lower_bound", "power_upper_bound"), "optimizer"),
-    **dict.fromkeys(("ConvergenceError", "SeriesControl"), "specfun"),
-}
-
-
+# The names of __all__ that the imports above leave unbound live in the
+# submodules that load scipy.special. Each is imported on first access
+# (PEP 562), so a process that uses only params, montecarlo and scheduler
+# starts without scipy. analytic imports specfun and optimizer imports both,
+# so a name loads no submodule its defining one does not.
 def __getattr__(name):
-    if name not in _LAZY:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f"{__name__}.{_LAZY[name]}"), name)
-    globals()[name] = value
-    return value
+    if name in __all__:
+        for sub in ("specfun", "analytic", "optimizer"):
+            namespace = vars(importlib.import_module(f"{__name__}.{sub}"))
+            if name in namespace:
+                globals()[name] = namespace[name]
+                return namespace[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 __all__ = [

@@ -58,6 +58,7 @@ from .specfun import (
 )
 
 _LN2 = math.log(2.0)
+_LOG_MAX = float(np.log(np.finfo(float).max))  # e^x overflows above this
 _SHAPE_BLOCK = 256  # shapes per cached block of the gamma shape table
 _SHAPE_CAP = 2_000_000  # most shapes _log_mixture_coeffs builds
 
@@ -284,12 +285,32 @@ def _cond_md_block(
     return h
 
 
+def _scale(num: tuple, den: tuple) -> tuple[float, float | None]:
+    """The quotient prod(num) / prod(den) of factors in [0, inf], den's > 0.
+
+    Returns (quotient, None) where the plain quotient is positive and finite,
+    with the bits of the expression written out. Where a product leaves the
+    float range it returns (e^l, l), l the sum of the factors' logs; e^l is
+    0 or inf once l leaves the range too.
+    """
+    try:
+        quotient = math.prod(num) / math.prod(den)
+    except ZeroDivisionError:
+        quotient = math.nan
+    if 0.0 < quotient < math.inf:
+        return quotient, None
+    if 0.0 in num:
+        return 0.0, -math.inf
+    log_q = sum(map(math.log, num)) - sum(map(math.log, den))
+    return (math.exp(log_q) if log_q <= _LOG_MAX else math.inf), log_q
+
+
 def _log_c(params: SystemParams, p_b: float) -> float:
     # ln c = ln(sigma0_sq / (rho omega_e)) at power p_b, without forming rho,
     # which underflows for subnormal p_b
-    return math.log(
-        params.sigma0_sq * params.q * params.k * params.L / (params.m * params.omega_e)
-    ) - math.log(p_b)
+    ratio, log_ratio = _scale((params.sigma0_sq, params.q, params.k, params.L),
+                              (params.m, params.omega_e))
+    return (math.log(ratio) if log_ratio is None else log_ratio) - math.log(p_b)
 
 
 def _md_many(params: SystemParams, p_b, slope: bool = False):
@@ -364,6 +385,8 @@ def _avg_md_series(params: SystemParams, ctl: SeriesControl) -> float:
     if lc > 709.0:
         return p0  # c overflows: md is its p_b -> 0 limit P(qL, y)
     c = math.exp(lc)
+    if c == 0.0:
+        return 0.0  # c underflows: md is its p_b -> inf limit
     # log c + log (kL)_n + log U(n+1, 2-kL, c); regrouping moves the last bits
     lws = (
         lc + (math.lgamma(kl + n) - math.lgamma(kl)) + log_tricomi_u(n + 1.0, 2.0 - kl, c)
@@ -421,12 +444,8 @@ def rtp(params: SystemParams) -> float:
     if params.p_b == 0.0 or params.gamma_u == math.inf:
         # no power decodes (p_b = inf would otherwise give inf / inf)
         return 0.0
-    expo = (
-        params.gamma_u
-        * params.k
-        * params.sigma0_sq
-        / (params.m * params.p_b * params.omega_u)
-    )
+    expo, _ = _scale((params.gamma_u, params.k, params.sigma0_sq),
+                     (params.m, params.p_b, params.omega_u))
     return math.exp(-expo)
 
 
@@ -440,5 +459,9 @@ def covert_rate(params: SystemParams, p: float) -> float:
     """
     if not 0.0 < p < math.inf:
         raise ValueError(f"transmit power p must be finite and > 0, got {p!r}")
-    c = params.k * params.sigma0_sq / (params.m * params.omega_u * p)
+    c, log_c = _scale((params.k, params.sigma0_sq), (params.m, params.omega_u, p))
+    if c == 0.0:
+        return (-np.euler_gamma - log_c) / _LN2  # e^c E1(c) = -gamma_E - ln c + O(c)
+    if c == math.inf:
+        return math.exp(-log_c) / _LN2  # e^c E1(c) -> 1 / c
     return exp_e1_scaled(c) / _LN2

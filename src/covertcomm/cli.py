@@ -64,11 +64,11 @@ class RunConfig:
     def grid_config(self) -> scheduler.GridConfig:
         kw = {k: v for k, v in self.values.items() if k in _GRID_KEYS}
         if "users_per_bs" not in kw:
-            # spread k users over the m stations, front-loaded
+            # spread k users over the m stations, front-loaded; empty for
+            # m <= 0, which GridConfig then rejects
             m = kw.get("m", scheduler.GridConfig.m)
             k = self.values.get("k", SystemParams.k)
-            base, rem = divmod(k, m)
-            kw["users_per_bs"] = tuple(base + (b < rem) for b in range(m))
+            kw["users_per_bs"] = tuple((k + m - 1 - b) // m for b in range(m))
         return scheduler.GridConfig(**kw)
 
 

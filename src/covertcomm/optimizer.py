@@ -26,7 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 # rtp is never called here; perfbench's design workload traces optimizer.rtp by name
-from .analytic import _DEP_ERR_ABS, _DEP_ERR_REL, _md_many, covert_rate, dep, false_alarm_prob, rtp
+from .analytic import (_DEP_ERR_ABS, _DEP_ERR_REL, _md_many, _scale, covert_rate, dep,
+                       false_alarm_prob, rtp)
 from .params import SystemParams
 from .specfun import ConvergenceError
 
@@ -95,9 +96,8 @@ def power_lower_bound(params: SystemParams) -> float:
     """
     if params.eps_u == 1.0:
         return 0.0  # the formula is inf / inf at gamma_u = inf
-    return -(
-        params.gamma_u * params.k * params.sigma0_sq
-    ) / (params.m * params.omega_u * math.log1p(-params.eps_u))
+    return _scale((params.gamma_u, params.k, params.sigma0_sq),
+                  (params.m, params.omega_u, -math.log1p(-params.eps_u)))[0]
 
 
 def power_upper_bound(

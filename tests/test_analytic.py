@@ -495,3 +495,31 @@ def test_md_many_slope_matches_finite_difference():
         assert md[0] == miss_detection_prob(params.with_(p_b=p_b))
         assert slope[0] < 0.0
         assert slope[0] == pytest.approx((hi - lo) / (2.0 * h), rel=1e-6)
+
+
+def test_miss_routes_past_the_float_range():
+    # ln c = ln(sigma0_sq q k L / (m omega_e)) - ln p_b where the quotient
+    # overflows (an OverflowError in the quadrature window before) or
+    # underflows to 0 (a math domain error)
+    assert dep(_BASE.with_(omega_e=1e-320)) == 1.0
+    assert dep(_BASE.with_(sigma0_sq=1e300, omega_e=1e-10)) == 1.0
+    params = _BASE.with_(omega_e=1e300, sigma0_sq=1e-300)
+    assert miss_detection_prob(params) == 0.0
+    assert dep(params) == false_alarm_prob(params) == 1.0306329691734196e-70
+    # c = e^(ln c) underflows: the series' p_b -> inf limit
+    assert miss_detection_prob(_BASE.with_(omega_e=1e300, p_b=1e100), "series") == 0.0
+
+
+def test_link_closed_forms_past_the_float_range():
+    # rtp's exponent as x / 0 and as inf / inf
+    assert rtp(_BASE.with_(p_b=1e-200, omega_u=1e-200)) == 0.0
+    assert rtp(_BASE.with_(p_b=math.inf, sigma0_sq=1e306, gamma_u=100.0)) == 1.0
+    # the rate's c as x / 0 (c overflows), below the smallest subnormal and
+    # just past the largest float
+    assert covert_rate(_BASE.with_(omega_u=1e-320), 1e-10) == 0.0
+    for params, p in ((_BASE.with_(sigma0_sq=1e-320, omega_u=1e300), 1e10),
+                      (_BASE.with_(sigma0_sq=1e300, omega_u=1e-10), 1.0)):
+        c = (mpmath.mpf(params.k) * params.sigma0_sq
+             / (mpmath.mpf(params.m) * params.omega_u * p))
+        want = float(mpmath.exp(c) * mpmath.e1(c) / mpmath.log(2))
+        assert covert_rate(params, p) == pytest.approx(want, rel=1e-12)

@@ -396,6 +396,27 @@ def test_schedule_rejects_nonpositive_episodes(tmp_path, capsys):
     assert not stats_json.exists()
 
 
+def test_schedule_without_stations_is_a_usage_error(capsys):
+    code, out, err = _run(capsys, "schedule", "--episodes", "1", "--set", "m=0")
+    assert (code, out) == (2, "")
+    assert "grid dimensions must be >= 1" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("dep", "--snr-db", "30", "--k-list", "4", "--trials", "200", "--set", "omega_e=1e-320"),
+    ("power-bounds", "--k-range", "4", "--set", "omega_e=1e-320"),
+    ("capacity", "--snr-db", "30", "--eps-u-list", "0.1", "--set", "omega_e=1e-320"),
+    ("rtp", "--snr-db", "30", "--k-list", "4", "--trials", "200",
+     "--set", "omega_u=1e-320", "--set", "sigma0_sq=1e-300"),
+], ids=lambda argv: argv[0])
+def test_scales_past_the_float_range_give_rows(capsys, argv):
+    # scale quotients that leave the float range are taken from logs: every
+    # row is computed, none ends in a traceback
+    code, out, err = _run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert "nan" not in out
+
+
 def test_schedule_without_users(capsys):
     code, out, _ = _run(capsys, "schedule", "--episodes", "1", "--set", "k=0")
     assert code == 0

@@ -51,6 +51,16 @@ def test_power_lower_bound_edges():
     assert power_lower_bound(_BASE.with_(gamma_u=math.inf)) == math.inf
 
 
+def test_solvers_past_the_float_range():
+    # p_low's denominator underflows to 0: the quotient comes from logs
+    assert power_lower_bound(_BASE.with_(omega_u=1e-320, eps_u=1e-10)) == math.inf
+    assert power_lower_bound(_BASE.with_(gamma_u=0.0, omega_u=1e-320, eps_u=1e-10)) == 0.0
+    # the miss routes' ln c overflows: the warden sees no power, so p_max is covert
+    result = optimal_power(_BASE.with_(omega_e=1e-320))
+    assert result.bounds.p_up == 1e3 and result.bounds.feasible
+    assert result.p_star == 1e3
+
+
 def test_power_upper_bound_hits_dep_target():
     p_up = power_upper_bound(_BASE, p_max=1e5, tol=1e-7)
     assert abs(dep(_BASE.with_(p_b=p_up)) - 0.9) <= 1e-4
