@@ -42,6 +42,7 @@ threshold computes it once.
 import functools
 import itertools
 import math
+import sys
 
 import numpy as np
 from scipy.special import gammainc, gammaln
@@ -59,6 +60,7 @@ from .specfun import (
 
 _LN2 = math.log(2.0)
 _LOG_MAX = float(np.log(np.finfo(float).max))  # e^x overflows above this
+_TINY = sys.float_info.min  # least normal float; below it a product loses bits
 _SHAPE_BLOCK = 256  # shapes per cached block of the gamma shape table
 _SHAPE_CAP = 2_000_000  # most shapes _log_mixture_coeffs builds
 
@@ -288,17 +290,17 @@ def _cond_md_block(
 def _scale(num: tuple, den: tuple) -> tuple[float, float | None]:
     """The quotient prod(num) / prod(den) of factors in [0, inf], den's > 0.
 
-    Returns (quotient, None) where the plain quotient is positive and finite,
-    with the bits of the expression written out. Where a product leaves the
-    float range it returns (e^l, l), l the sum of the factors' logs; e^l is
-    0 or inf once l leaves the range too.
+    Returns (quotient, None) where both products and the plain quotient are
+    normal floats, with the bits of the expression written out. Where one
+    of them leaves that range, into inf or into the subnormals whose lost
+    bits would skew it, it returns (e^l, l), l the sum of the factors' logs;
+    e^l is 0 or inf once l leaves the range too.
     """
-    try:
-        quotient = math.prod(num) / math.prod(den)
-    except ZeroDivisionError:
-        quotient = math.nan
-    if 0.0 < quotient < math.inf:
-        return quotient, None
+    top, bottom = math.prod(num), math.prod(den)
+    if top >= _TINY and bottom >= _TINY:
+        quotient = top / bottom
+        if _TINY <= quotient < math.inf:
+            return quotient, None
     if 0.0 in num:
         return 0.0, -math.inf
     log_q = sum(map(math.log, num)) - sum(map(math.log, den))

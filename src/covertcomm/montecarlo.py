@@ -10,6 +10,13 @@ draw per complex sample gives the same law as a pair of real normals.
 Streams are addressed through PCG64 jumps, which makes every estimate
 reproducible for a given (seed, stream) pair and lets sweeps hand out
 disjoint substreams without coordination.
+
+The draws stream through one scratch buffer per estimator call:
+_DRAW_FLOATS doubles (or one block of qL, where that is more), except in
+simulate_rate, whose sums over _CHUNK_FLOATS draws fix its mean. A
+generator fills an array one draw after another, so a run of rows drawn
+into the buffer holds the values that one whole array of draws would
+hold there, and every estimate keeps its bits whatever the buffer's size.
 """
 
 import math
@@ -19,9 +26,15 @@ import numpy as np
 
 from .params import _integer
 
-# keeps each estimator's arrays of draws near 8 MB whatever the block size;
-# 48 MB arrays measured slower, each one a fresh mapping whose pages fault in
+# the trial grouping: a detector chunk is _CHUNK_FLOATS // qL trials, whose
+# gains are drawn after all their noise-only blocks, and simulate_rate sums
+# its rates per _CHUNK_FLOATS draws; so this fixes where each draw falls and
+# every estimate's bits. It sizes no array but simulate_rate's buffer.
 _CHUNK_FLOATS = 1_000_000
+
+# doubles per scratch buffer (256 KB), the most any estimator but
+# simulate_rate holds of its draws at once
+_DRAW_FLOATS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -76,22 +89,50 @@ def _chunks(total: int, size: int):
         done += n
 
 
-def _block_energy(gen: np.random.Generator, params, n: int, gains=None) -> np.ndarray:
-    """Energy statistic of n detection blocks of qL complex samples.
+def _draw_buffer(params, rows: int) -> np.ndarray:
+    """Scratch for rows blocks of qL draws: _DRAW_FLOATS doubles, or one block."""
+    width = params.q * params.L
+    return np.empty(min(rows * width, max(_DRAW_FLOATS, width)))
+
+
+def _row_sums(gen: np.random.Generator, buf: np.ndarray, width: int, out: np.ndarray):
+    """Fill out with the row sums of an (out.size, width) array of Exp(1) draws.
+
+    The rows are drawn in runs that fit buf and summed run by run; each
+    row's pairwise sum is that of the whole array's row, so out holds the
+    same bits as gen.standard_exponential((out.size, width)).sum(axis=1).
+    """
+    rows = buf.size // width
+    for pos in range(0, out.size, rows):
+        run = buf[: min(rows, out.size - pos) * width].reshape(-1, width)
+        gen.standard_exponential(out=run)
+        run.sum(axis=1, out=out[pos : pos + len(run)])
+    return out
+
+
+def _block_energy(gen: np.random.Generator, params, buf: np.ndarray, out: np.ndarray,
+                  gains=None) -> np.ndarray:
+    """Write into out the energy statistic of out.size blocks of qL complex samples.
 
     Each sample's energy is its variance times one Exp(1) draw. With
     gains None every sample is noise of variance sigma0_sq; otherwise the
     kL samples in the user slots have variance rho * g + sigma0_sq, with
-    g the row's warden gain (an array of n, or one float for all rows).
+    g the row's warden gain (an array of out.size, or one float for all
+    rows). buf is the draws' scratch, at least qL doubles.
     """
     q, k, L = params.q, params.k, params.L
     s2 = params.sigma0_sq
     if gains is None:
-        return s2 * gen.standard_exponential((n, q * L)).sum(axis=1)
-    t = (params.rho * gains + s2) * gen.standard_exponential((n, k * L)).sum(axis=1)
+        _row_sums(gen, buf, q * L, out)
+        out *= s2
+        return out
+    _row_sums(gen, buf, k * L, out)
+    out *= params.rho * gains + s2
     if q > k:
-        t += s2 * gen.standard_exponential((n, (q - k) * L)).sum(axis=1)
-    return t
+        idle = _row_sums(gen, buf, (q - k) * L, np.empty(out.size))
+        idle *= s2
+        out += idle
+    return out
 
 
 def simulate_detector(
@@ -108,15 +149,17 @@ def simulate_detector(
     trials = _check_trials(trials)
     gen = rng.generator()
     thr = params.effective_threshold
-    chunk = max(1, _CHUNK_FLOATS // (params.q * params.L))
+    chunk = min(trials, max(1, _CHUNK_FLOATS // (params.q * params.L)))
+    buf = _draw_buffer(params, chunk)
+    stat = np.empty(chunk)
     fa_hits = 0
     md_hits = 0
     for n in _chunks(trials, chunk):
-        t0 = _block_energy(gen, params, n)
-        fa_hits += int(np.count_nonzero(t0 > thr))
+        t = _block_energy(gen, params, buf, stat[:n])
+        fa_hits += int(np.count_nonzero(t > thr))
         g = gen.exponential(params.omega_e, n)
-        t1 = _block_energy(gen, params, n, g)
-        md_hits += int(np.count_nonzero(t1 <= thr))
+        t = _block_energy(gen, params, buf, stat[:n], g)
+        md_hits += int(np.count_nonzero(t <= thr))
     return _binomial_estimate(fa_hits, trials), _binomial_estimate(md_hits, trials)
 
 
@@ -133,15 +176,23 @@ def detector_statistic_samples(
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     gen = rng.generator()
-    chunk = max(1, _CHUNK_FLOATS // (params.q * params.L))
+    chunk = min(trials, max(1, _CHUNK_FLOATS // (params.q * params.L)))
+    buf = _draw_buffer(params, chunk)
     out = np.empty(trials)
-    pos = 0
-    for n in _chunks(trials, chunk):
+    for pos in range(0, trials, chunk):
+        t = out[pos : pos + chunk]
         gains = None
         if signal:
-            gains = g if g is not None else gen.exponential(params.omega_e, n)
-        out[pos : pos + n] = _block_energy(gen, params, n, gains)
-        pos += n
+            gains = g if g is not None else gen.exponential(params.omega_e, t.size)
+        _block_energy(gen, params, buf, t, gains)
+    return out
+
+
+def _exponentials(gen: np.random.Generator, out: np.ndarray, scale: float) -> np.ndarray:
+    # numpy draws Exp(scale) as scale * Exp(1), one element at a time, so
+    # this gives the bits of gen.exponential(scale, out.size)
+    gen.standard_exponential(out=out)
+    out *= scale
     return out
 
 
@@ -160,9 +211,11 @@ def simulate_rtp(params, trials: int, rng: RngSpec) -> EstimateWithError:
             * params.sigma0_sq
             / (params.m * params.p_b)
         )
+    # a count of sequential draws: runs of any size give the same hits
+    buf = np.empty(min(trials, _DRAW_FLOATS))
     hits = 0
-    for n in _chunks(trials, _CHUNK_FLOATS):
-        h = gen.exponential(params.omega_u, n)
+    for n in _chunks(trials, buf.size):
+        h = _exponentials(gen, buf[:n], params.omega_u)
         hits += int(np.count_nonzero(h >= need))
     return _binomial_estimate(hits, trials)
 
@@ -176,9 +229,14 @@ def simulate_rate(params, p: float, trials: int, rng: RngSpec) -> EstimateWithEr
     beta = params.m * p / (params.k * params.sigma0_sq)
     total = 0.0
     total_sq = 0.0
-    for n in _chunks(trials, _CHUNK_FLOATS):
-        h = gen.exponential(params.omega_u, n)
-        r = np.log2(1.0 + beta * h)
+    # each group's pairwise sum fixes the mean's bits, so the groups stay
+    # _CHUNK_FLOATS long; one buffer holds each in turn, worked in place
+    buf = np.empty(min(trials, _CHUNK_FLOATS))
+    for n in _chunks(trials, buf.size):
+        r = _exponentials(gen, buf[:n], params.omega_u)
+        r *= beta
+        r += 1.0
+        np.log2(r, out=r)
         total += float(r.sum())
         total_sq += float(r @ r)
     mean = total / trials

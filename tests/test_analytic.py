@@ -523,3 +523,19 @@ def test_link_closed_forms_past_the_float_range():
              / (mpmath.mpf(params.m) * params.omega_u * p))
         want = float(mpmath.exp(c) * mpmath.e1(c) / mpmath.log(2))
         assert covert_rate(params, p) == pytest.approx(want, rel=1e-12)
+
+
+def test_scale_quotients_through_the_subnormals():
+    # a product or quotient in the subnormals has lost bits: formed plainly,
+    # the rate's denominator m omega_u p = 4e-320 skews c by 1.1e-5, and
+    # ln c's quotient sigma0_sq q k L / (m omega_e) = 5e-318 is 6e-10 off
+    with mpmath.workdps(30):
+        params = _BASE.with_(sigma0_sq=1e-300, omega_u=1e-160)
+        c = (mpmath.mpf(params.k) * params.sigma0_sq
+             / (mpmath.mpf(params.m) * params.omega_u * mpmath.mpf(1e-160)))
+        want = float(mpmath.exp(c) * mpmath.e1(c) / mpmath.log(2))
+        assert covert_rate(params, 1e-160) == pytest.approx(want, rel=1e-13, abs=0.0)
+        params = _BASE.with_(sigma0_sq=1e-300, omega_e=1e20)
+        want = float(mpmath.log(mpmath.mpf(params.sigma0_sq) * params.q * params.k
+                                * params.L / (mpmath.mpf(params.m) * params.omega_e)))
+        assert analytic._log_c(params, 1.0) == pytest.approx(want, rel=1e-13, abs=0.0)

@@ -3,6 +3,7 @@ the closed forms, reproducibility, and distributional sanity."""
 
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -221,6 +222,66 @@ def test_statistic_samples_keep_their_bytes_across_chunks(monkeypatch, signal, g
     params = SystemParams(q=4, L=2, k=1, p_b=50.0)
     x = detector_statistic_samples(params, 37, RngSpec(5, 0), signal=signal, g=g)
     assert hashlib.sha256(x.tobytes()).hexdigest() == _SAMPLE_SHA256[signal, g]
+
+
+_AT40 = _BASE.with_(p_b=power_from_snr_db(40.0))
+
+
+def _streamed_results(params):
+    return (
+        simulate_detector(params, 2_500, RngSpec(8, 0)),
+        *(detector_statistic_samples(params, 2_500, RngSpec(8, 1), signal, g).tobytes()
+          for signal, g in ((False, None), (True, None), (True, 0.7))),
+        simulate_rtp(params, 2_500, RngSpec(8, 2)),
+    )
+
+
+@pytest.mark.parametrize("block", [8, 1_100], ids=["block-8", "block-1100"])
+def test_draw_block_leaves_every_bit(monkeypatch, block):
+    # the reference holds each chunk's draws in one array, as whole arrays
+    # of draws would; 2 500 trials are a chunk of 1953 rows and one of 547;
+    # 8 doubles is less than one block of qL = 512, so the buffer holds one
+    # block (runs of 1 row of 512 or 480 draws, or 16 rows of 32); 1 100
+    # is a multiple of none of the widths, and its runs of 2, 34 and 2 rows
+    # split neither row count evenly
+    monkeypatch.setattr(montecarlo, "_DRAW_FLOATS", 1 << 30)
+    whole = _streamed_results(_AT37)
+    monkeypatch.setattr(montecarlo, "_DRAW_FLOATS", block)
+    assert _streamed_results(_AT37) == whole
+
+
+def test_row_sums_are_the_whole_array_row_sums():
+    # runs of 2 rows of 512 draws give the bits of one (2500, 512) array
+    # of draws summed along its rows
+    got = montecarlo._row_sums(np.random.default_rng(5), np.empty(1_100), 512,
+                               np.empty(2_500))
+    want = np.random.default_rng(5).standard_exponential((2_500, 512)).sum(axis=1)
+    assert got.tobytes() == want.tobytes()
+
+
+def _traced_peak(run) -> int:
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize(
+    "run, ceiling_mib",
+    [
+        (lambda: simulate_detector(_AT40, 20_000, RngSpec(2, 0)), 1.5),
+        (lambda: detector_statistic_samples(_AT40, 20_000, RngSpec(2, 1), True), 1.5),
+        (lambda: simulate_rtp(_AT40, 2_000_000, RngSpec(2, 2)), 1.5),
+        (lambda: simulate_rate(_AT40, 1.0, 2_000_000, RngSpec(2, 3)), 8.5),
+    ],
+    ids=["detector", "statistic-samples", "rtp", "rate"],
+)
+def test_estimator_memory_does_not_grow_with_trials(run, ceiling_mib):
+    # the draws stream through one scratch buffer; whole arrays of the
+    # draws would peak at 7.7, 7.4, 15.3 and 30.5 MiB here
+    assert _traced_peak(run) <= ceiling_mib * 2**20
 
 
 def test_rate_rejects_bad_power():
