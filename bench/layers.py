@@ -1,4 +1,4 @@
-"""Layer harness: the Monte Carlo and scheduler layers, one revision or two.
+"""Layer harness: the Monte Carlo, scheduler and specfun layers, one revision or two.
 
     python3 bench/layers.py                                  # the working tree alone
     python3 bench/layers.py --against REV --out BENCH_<n>.json
@@ -12,8 +12,12 @@ and measures, on fixed inputs:
   gains; simulate_rtp and simulate_rate at 2e6 trials.
 - scheduler: time slots per second of run_episode on perfbench's
   `simulate` grid, under each policy.
-Times are time.process_time minima over REPEATS calls, after one warm
-call whose results are digested.
+- specfun: calls per second of log_tricomi_u at perfbench's `curves`
+  spot calls, a in {1, 2, 3, 5, 8} with b = 2 - kL and z = c for
+  k in {1, 4, 16, 64} at 30, 38 and 44 dB (60 calls); and of
+  reg_gamma_lower over validate's incomplete-gamma grid (56 calls).
+Times are time.process_time minima over REPEATS passes, after one warm
+pass whose results are digested.
 
 With --against REV, the revision's committed src/ is extracted into a
 temporary directory (by git archive, so nothing is registered in the
@@ -48,6 +52,13 @@ MC_POINTS = ((1, 36.0), (4, 40.0), (16, 44.0))  # perfbench's simulate points
 EPISODES = 2  # per policy, as in a perfbench simulate round
 REPEATS = 3  # timed calls of each figure per run; the least counts
 PAIRS = 10  # fresh-process runs per side
+SPOT_A = (1.0, 2.0, 3.0, 5.0, 8.0)  # perfbench's curves spot calls
+SPOT_K = (1, 4, 16, 64)
+SPOT_SNR = (30.0, 38.0, 44.0)
+GAMMA_S = (0.5, 1.0, 3.0, 8.0, 64.0, 512.0, 3000.0)  # validate's grid
+GAMMA_X = (0.0, 0.5, 1.0, 8.0, 100.0, 512.0, 1024.0, 5000.0)
+# what each layer's rate counts
+COUNTS = {"montecarlo": "draws", "scheduler": "slots", "specfun": "calls"}
 
 # figure -> (unit, better)
 FIGURES = {
@@ -57,13 +68,15 @@ FIGURES = {
                           ("peak_mib", ("MiB", "lower")))},
     **{f"scheduler.{policy}.slots_per_s": ("1/s", "higher")
        for policy in ("greedy_belief", "random_hop")},
+    **{f"specfun.{name}.calls_per_s": ("1/s", "higher")
+       for name in ("tricomi", "reg_gamma")},
 }
 
 
 def _jobs():
-    """name -> (draws or slots per pass, the pass's calls, traced)."""
+    """name -> (draws, slots or calls per pass, the pass's calls)."""
     from covertcomm import montecarlo as mc
-    from covertcomm import scheduler
+    from covertcomm import scheduler, specfun
     from covertcomm.params import SystemParams, power_from_snr_db
 
     base = SystemParams()
@@ -79,27 +92,32 @@ def _jobs():
             len(MC_POINTS) * TRIALS * (2 * block + 1),
             [lambda p=base.with_(k=k, p_b=power_from_snr_db(snr)), j=j:
              mc.simulate_detector(p, TRIALS, mc.RngSpec(7, j))
-             for j, (k, snr) in enumerate(MC_POINTS)],
-            True),
+             for j, (k, snr) in enumerate(MC_POINTS)]),
         "montecarlo.statistic_samples": (
             TRIALS * (block + 1),
-            [lambda: mc.detector_statistic_samples(at40, TRIALS, mc.RngSpec(7, 3), True)],
-            True),
+            [lambda: mc.detector_statistic_samples(at40, TRIALS, mc.RngSpec(7, 3), True)]),
         "montecarlo.rtp": (
             LINK_TRIALS,
-            [lambda: mc.simulate_rtp(at40.with_(p_b=1.0), LINK_TRIALS, mc.RngSpec(7, 4))],
-            True),
+            [lambda: mc.simulate_rtp(at40.with_(p_b=1.0), LINK_TRIALS, mc.RngSpec(7, 4))]),
         "montecarlo.rate": (
             LINK_TRIALS,
-            [lambda: mc.simulate_rate(at40, 1.0, LINK_TRIALS, mc.RngSpec(7, 5))],
-            True),
+            [lambda: mc.simulate_rate(at40, 1.0, LINK_TRIALS, mc.RngSpec(7, 5))]),
     }
     for i, policy in enumerate(scheduler.POLICIES):
         jobs[f"scheduler.{policy}"] = (
             EPISODES * grid.p,
             [lambda policy=policy, j=j: scheduler.run_episode(grid, policy, mc.RngSpec(7, j))
-             for j in range(8 + EPISODES * i, 8 + EPISODES * (i + 1))],
-            False)
+             for j in range(8 + EPISODES * i, 8 + EPISODES * (i + 1))])
+    spots = []
+    for k in SPOT_K:
+        for snr in SPOT_SNR:
+            p = base.with_(k=k, p_b=power_from_snr_db(snr))
+            spots += [(a, 2.0 - k * p.L, p.sigma0_sq / (p.rho * p.omega_e)) for a in SPOT_A]
+    jobs["specfun.tricomi"] = (
+        len(spots), [lambda: [specfun.log_tricomi_u(*abz) for abz in spots]])
+    jobs["specfun.reg_gamma"] = (
+        len(GAMMA_S) * len(GAMMA_X),
+        [lambda: [specfun.reg_gamma_lower(s, x) for s in GAMMA_S for x in GAMMA_X]])
     return jobs
 
 
@@ -111,10 +129,11 @@ def _digest(result) -> str:
 def measure() -> dict:
     """One side's figures and result digests, in this process."""
     figures, digests = {}, {}
-    for name, (work, calls, traced) in _jobs().items():
+    for name, (work, calls) in _jobs().items():
+        layer = name.split(".")[0]
         digests[name] = hashlib.sha256(
             "".join(_digest(call()) for call in calls).encode()).hexdigest()
-        if traced:
+        if layer == "montecarlo":
             peak = 0
             for call in calls:
                 tracemalloc.start()
@@ -130,8 +149,7 @@ def measure() -> dict:
                 t0 = time.process_time()
                 call()
                 best[i] = min(best[i], time.process_time() - t0)
-        rate = "draws_per_s" if traced else "slots_per_s"
-        figures[f"{name}.{rate}"] = work / sum(best)
+        figures[f"{name}.{COUNTS[layer]}_per_s"] = work / sum(best)
     return {"figures": figures, "digests": digests}
 
 

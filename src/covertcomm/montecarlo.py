@@ -170,11 +170,13 @@ def detector_statistic_samples(
 
     With signal=False the samples follow the noise-only law
     Gamma(qL, sigma0_sq). With signal=True the warden gain is drawn per
-    trial unless a fixed g is supplied.
+    trial unless a fixed g >= 0 is supplied.
     """
     trials = _integer("trials", trials)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    if g is not None and not g >= 0.0:
+        raise ValueError(f"channel gain must be >= 0, got {g!r}")
     gen = rng.generator()
     chunk = min(trials, max(1, _CHUNK_FLOATS // (params.q * params.L)))
     buf = _draw_buffer(params, chunk)

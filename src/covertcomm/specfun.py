@@ -10,8 +10,10 @@ energy-detection model actually visits.
 Gamma-function factors run in log space: U(a, b, z) and Gamma(a)
 overflow doubles at the parameters a high-power miss series visits, so
 log_tricomi_u integrates relative to the integrand's peak, by one
-trapezoid rule in log t, and returns a logarithm. Each routine here is
-checked against mpmath in the test suite.
+trapezoid rule in log t, and returns a logarithm. It serves the a its
+callers pass (a = 0, or a >= 0.5) and raises ConvergenceError where the
+integrand's left tail is longer than its walk (a below about 6e-4).
+Each routine here is checked against mpmath in the test suite.
 """
 
 import math
@@ -27,9 +29,6 @@ _U_DROP = 40.0
 _U_REACH_MAX = 2**16  # steps of the level-0 grid on either side of the peak
 _U_LEVEL_MAX = 8
 _U_REL_TOL = 1e-9
-# past a left cut, the U integrand is taken as e^(a s) times a constant
-# that it keeps to this relative tolerance
-_U_TAIL_TOL = 1e-17
 # the share of the integral that the left tail past the reach may hold
 _U_LEFT_TOL = 1e-12
 
@@ -128,14 +127,10 @@ def log_tricomi_u(a: float, b: float, z: float) -> float:
     right, so the trapezoid rule on the grids s* + j h 2^-level around its
     peak s* converges exponentially. The step is halved until two grids
     agree to _U_REL_TOL, else ConvergenceError carries the last estimate.
-    For a below about 6e-4 the left tail, where psi(s) is a s plus a
-    constant, is too long to walk; the grid is cut there and the nodes
-    past the cut are one geometric series, the trapezoid rule's own sum
-    of int e^(a s) ds = e^(a s_cut) / a. A tiny a (a times the peak
-    width below about 4e-6) takes the same cut, since even a tail _U_DROP
-    below the peak can hold a share of the integral over its 1/a length.
-    Past a cut the sum, which nears 1/a, is kept times a, and where the
-    peak lies left of the cut, the grid is centred at the cut.
+    The walk reaches the integrand at every a >= 0.5 the model passes,
+    and at most a down to about 6e-4. Where the left tail, in which
+    psi(s) is a s plus a constant, is longer than the reach cap, as at
+    most a below that, ConvergenceError is raised before the sum starts.
     psi is taken relative to its peak value, so the result stays finite
     even when U itself would overflow or underflow a double.
     """
@@ -177,56 +172,25 @@ def log_tricomi_u(a: float, b: float, z: float) -> float:
     lo = hi = 1
     while psi(-lo * width) > -_U_DROP and lo <= _U_REACH_MAX:
         lo *= 2
-    # the left tail decays only like e^(a s), about _U_DROP / a long. Where
-    # that passes the reach cap (a below about 6e-4), or where the tail past
-    # the reach, e^-_U_DROP high and 1/a long, could hold _U_LEFT_TOL of the
-    # peak's integral of about width (a tiny a and a peak far right of the
-    # plateau), the grid stops instead at the first reach past which
-    # psi(s) - a s is constant to _U_TAIL_TOL, since
-    # |c log(1+e^s) - z e^s| <= (|c| + z) e^s, and the nodes beyond it are
-    # summed in closed form: e^psi(cut) sum_{j>=1} e^(-a j step)
-    tiny = math.exp(-_U_DROP) > _U_LEFT_TOL * a * width
-    scale, log_gamma, log_cut = 1.0, math.lgamma(a), None
-    if lo > _U_REACH_MAX or tiny:
-        lo = 1
-        log_bound = math.log(abs(c) + z) + s_pk - math.log(_U_TAIL_TOL)
-        if log_bound < 0.0:
-            # the peak (near log a) lies left of where the tail starts, so
-            # every node left of there is a tail node: centre the grid there,
-            # which keeps the right reach short and e^d within a double
-            s_pk -= log_bound
-            log_bound = 0.0
-            log_1mu = -float(np.logaddexp(0.0, s_pk))
-            log_u = s_pk + log_1mu
-            zt = z * math.exp(s_pk)
-        while log_bound > lo * width and lo <= _U_REACH_MAX:
-            lo *= 2
-        log_cut = float(psi(-lo * width))
-        # the tail's sum nears 1/a, past a double for a subnormal a: keep
-        # the sum times a, over a Gamma(a) = Gamma(1 + a)
-        scale, log_gamma = a, math.lgamma(1.0 + a)
-    while psi(hi * width) > -_U_DROP and max(lo, hi) <= _U_REACH_MAX:
+    # the left tail decays only like e^(a s), about _U_DROP / a long. It
+    # passes the reach cap for a below about 6e-4; and for a tiny a, the
+    # tail past the reach, e^-_U_DROP high and 1/a long, could hold more
+    # than _U_LEFT_TOL of the peak's integral of about width
+    if lo > _U_REACH_MAX or math.exp(-_U_DROP) > _U_LEFT_TOL * a * width:
+        raise ConvergenceError(f"tricomi U left tail wider than {_U_REACH_MAX} steps (a={a})")
+    while psi(hi * width) > -_U_DROP and hi <= _U_REACH_MAX:
         hi *= 2
-    if max(lo, hi) > _U_REACH_MAX:
+    if hi > _U_REACH_MAX:
         raise ConvergenceError(f"tricomi U integrand wider than {_U_REACH_MAX} steps")
 
-    def tail(step):
-        # a times the nodes past the cut, a e^psi(cut) / expm1(a step);
-        # x / expm1(x) = 1 where x = a step underflows
-        if log_cut is None:
-            return 0.0
-        x = a * step
-        return math.exp(log_cut) / step * (x / math.expm1(x) if x else 1.0)
-
     # log(centre value / Gamma(a)), with log(1+t*) = -log(1-u) and z t* = zt
-    log_peak = a * s_pk - c * log_1mu - zt - log_gamma
-    nodes = total = 0.0
+    log_peak = a * s_pk - c * log_1mu - zt - math.lgamma(a)
+    total = 0.0
     for level in range(_U_LEVEL_MAX + 1):
         k = 2**level
         # level 0 is every node; each finer level adds the odd ones
         j = np.arange(-lo, hi + 1) if level == 0 else np.arange(1 - lo * k, hi * k, 2)
-        nodes += float(np.exp(psi(j * (width / k))).sum())
-        coarse, total = total, scale * nodes + tail(width / k)
+        coarse, total = total, total + float(np.exp(psi(j * (width / k))).sum())
         if level and abs(total - 2.0 * coarse) <= _U_REL_TOL * total:
             return log_peak + math.log(total * width / k)
     raise ConvergenceError(
@@ -237,7 +201,7 @@ def log_tricomi_u(a: float, b: float, z: float) -> float:
 
 
 def tricomi_u(a: float, b: float, z: float) -> float:
-    """Tricomi confluent hypergeometric function U(a, b, z) for a >= 0, z > 0."""
+    """Tricomi confluent hypergeometric function U(a, b, z), where log_tricomi_u serves it."""
     return math.exp(log_tricomi_u(a, b, z))
 
 

@@ -101,6 +101,15 @@ def test_trial_counts_must_be_integers():
         detector_statistic_samples(_SMALL, 0, RngSpec(1, 0))
 
 
+def test_statistic_samples_reject_a_negative_or_nan_gain():
+    # a negative gain made negative energies, a nan one nan energies
+    at = SystemParams(p_b=1e4)
+    for g in (-5.0, -1e-300, math.nan):
+        with pytest.raises(ValueError, match="channel gain must be >= 0"):
+            detector_statistic_samples(at, 10, RngSpec(1, 0), signal=True, g=g)
+    assert detector_statistic_samples(at, 10, RngSpec(1, 0), signal=True, g=0.0).min() > 0.0
+
+
 def test_detector_reproducible_and_stream_sensitive():
     a = simulate_detector(_AT37, trials=2000, rng=RngSpec(42, 7))
     b = simulate_detector(_AT37, trials=2000, rng=RngSpec(42, 7))
