@@ -1,4 +1,4 @@
-"""Layer harness: the Monte Carlo, scheduler and specfun layers, one revision or two.
+"""Layer harness: the Monte Carlo, scheduler, specfun and analytic layers, one revision or two.
 
     python3 bench/layers.py                                  # the working tree alone
     python3 bench/layers.py --against REV --out BENCH_<n>.json
@@ -16,6 +16,12 @@ and measures, on fixed inputs:
   spot calls, a in {1, 2, 3, 5, 8} with b = 2 - kL and z = c for
   k in {1, 4, 16, 64} at 30, 38 and 44 dB (60 calls); and of
   reg_gamma_lower over validate's incomplete-gamma grid (56 calls).
+- analytic: calls per second of dep on perfbench's `curves` grid, warm
+  (k in {1, 4, 16, 64} at 30 to 44 dB in steps of 2, 32 calls) and cold
+  (k in {1, 4, 16} on the same SNRs, 24 calls, every lru_cache of
+  analytic cleared before each call, so each builds its shape tables and
+  conditional-miss blocks), and of miss_detection_prob(method="series")
+  at four of those points.
 Times are time.process_time minima over REPEATS passes, after one warm
 pass whose results are digested.
 
@@ -55,10 +61,14 @@ PAIRS = 10  # fresh-process runs per side
 SPOT_A = (1.0, 2.0, 3.0, 5.0, 8.0)  # perfbench's curves spot calls
 SPOT_K = (1, 4, 16, 64)
 SPOT_SNR = (30.0, 38.0, 44.0)
+CURVE_SNR = tuple(30.0 + 2.0 * i for i in range(8))  # perfbench's curves grid
+COLD_K = (1, 4, 16)
+SERIES_POINTS = ((1, 30.0), (4, 38.0), (16, 44.0), (64, 44.0))
 GAMMA_S = (0.5, 1.0, 3.0, 8.0, 64.0, 512.0, 3000.0)  # validate's grid
 GAMMA_X = (0.0, 0.5, 1.0, 8.0, 100.0, 512.0, 1024.0, 5000.0)
 # what each layer's rate counts
-COUNTS = {"montecarlo": "draws", "scheduler": "slots", "specfun": "calls"}
+COUNTS = {"montecarlo": "draws", "scheduler": "slots", "specfun": "calls",
+          "analytic": "calls"}
 
 # figure -> (unit, better)
 FIGURES = {
@@ -70,16 +80,22 @@ FIGURES = {
        for policy in ("greedy_belief", "random_hop")},
     **{f"specfun.{name}.calls_per_s": ("1/s", "higher")
        for name in ("tricomi", "reg_gamma")},
+    **{f"analytic.{name}.calls_per_s": ("1/s", "higher")
+       for name in ("dep_warm", "dep_cold", "md_series")},
 }
 
 
 def _jobs():
     """name -> (draws, slots or calls per pass, the pass's calls)."""
+    from covertcomm import analytic, scheduler, specfun
     from covertcomm import montecarlo as mc
-    from covertcomm import scheduler, specfun
     from covertcomm.params import SystemParams, power_from_snr_db
 
     base = SystemParams()
+
+    def at(k, snr):
+        return base.with_(k=k, p_b=power_from_snr_db(snr))
+
     at40 = base.with_(p_b=power_from_snr_db(40.0))
     block = base.q * base.L
     grid = scheduler.GridConfig(
@@ -90,7 +106,7 @@ def _jobs():
     jobs = {
         "montecarlo.detector": (
             len(MC_POINTS) * TRIALS * (2 * block + 1),
-            [lambda p=base.with_(k=k, p_b=power_from_snr_db(snr)), j=j:
+            [lambda p=at(k, snr), j=j:
              mc.simulate_detector(p, TRIALS, mc.RngSpec(7, j))
              for j, (k, snr) in enumerate(MC_POINTS)]),
         "montecarlo.statistic_samples": (
@@ -111,13 +127,28 @@ def _jobs():
     spots = []
     for k in SPOT_K:
         for snr in SPOT_SNR:
-            p = base.with_(k=k, p_b=power_from_snr_db(snr))
+            p = at(k, snr)
             spots += [(a, 2.0 - k * p.L, p.sigma0_sq / (p.rho * p.omega_e)) for a in SPOT_A]
     jobs["specfun.tricomi"] = (
         len(spots), [lambda: [specfun.log_tricomi_u(*abz) for abz in spots]])
     jobs["specfun.reg_gamma"] = (
         len(GAMMA_S) * len(GAMMA_X),
         [lambda: [specfun.reg_gamma_lower(s, x) for s in GAMMA_S for x in GAMMA_X]])
+
+    caches = [f for f in vars(analytic).values() if hasattr(f, "cache_clear")]
+
+    def cold_dep(p):
+        for cache in caches:
+            cache.cache_clear()
+        return analytic.dep(p)
+
+    warm = [at(k, snr) for k in SPOT_K for snr in CURVE_SNR]
+    cold = [at(k, snr) for k in COLD_K for snr in CURVE_SNR]
+    series = [at(k, snr) for k, snr in SERIES_POINTS]
+    jobs["analytic.dep_warm"] = (len(warm), [lambda: [analytic.dep(p) for p in warm]])
+    jobs["analytic.dep_cold"] = (len(cold), [lambda: [cold_dep(p) for p in cold]])
+    jobs["analytic.md_series"] = (
+        len(series), [lambda: [analytic.miss_detection_prob(p, "series") for p in series]])
     return jobs
 
 

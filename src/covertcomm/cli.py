@@ -387,7 +387,8 @@ def _validate_checks(params: SystemParams, trials: int, seed: int, ctl):
         ), 1e-6),
         _check("covert_rate_vs_quadrature", _worst(
             _rel_err(analytic.covert_rate(kp, p), rate_by_quadrature(kp, p))
-            for p in (0.1, 1.0, 10.0) for kp in (params.with_(k=2), params.with_(k=8))
+            for p in (0.1, 1.0, 10.0)
+            for kp in (params.with_(k=min(k, params.q)) for k in (2, 8))  # k <= q at any q
         ), 1e-8),
         _check("false_alarm_vs_mc", _worst(
             _mc_gap(analytic.false_alarm_prob(mp), fa.mean, fa.std_error, floor)

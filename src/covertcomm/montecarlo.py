@@ -177,6 +177,8 @@ def detector_statistic_samples(
         raise ValueError(f"trials must be >= 1, got {trials}")
     if g is not None and not g >= 0.0:
         raise ValueError(f"channel gain must be >= 0, got {g!r}")
+    if g is not None and (g == 0.0 or params.p_b == 0.0):
+        params, g = params.with_(p_b=0.0), 0.0  # no received power, never 0 * inf
     gen = rng.generator()
     chunk = min(trials, max(1, _CHUNK_FLOATS // (params.q * params.L)))
     buf = _draw_buffer(params, chunk)

@@ -330,26 +330,26 @@ def run_episode_trace(cfg: GridConfig, policy, rng: RngSpec):
 
     Stations act in index order within each time slot; with the shared
     control matrix enabled, later stations see the slots earlier ones
-    claimed. Overloads are tolerated: the affected users stay idle for
-    that time slot and the overload counter advances.
+    claimed. A user a built-in policy cannot place stays idle for that
+    time slot; the overload counter is read off the finished grid as its
+    -1 entries (0 under a custom policy, whose -1 is its own choice).
 
-    The grid is the episode's only record. A time slot reads the previous
-    row (all -1 at t = 0) and the current block's rows so far
+    The grid is the episode's only record. The jammed columns are written
+    into it once, before the first time slot. A time slot reads the
+    previous row (all -1 at t = 0) and the current block's rows so far
     (block-distinct hopping) from it once, builds its own row as a list,
     whose earlier stations' entries are the shared control matrix's
-    claims, and writes that row once.
+    claims, and writes that row once. Under every policy station b's
+    beliefs are row b of one (m, q) array.
 
-    Each time slot draws from the stream in this order: q uniforms for
-    external traffic, then q sensing uniforms per station in index order
-    (stations without users included), interleaved with the draws of
-    decide for policies that draw. greedy_belief draws nothing while it
-    picks, so a run of time slots takes all these uniforms in one call
-    (the same doubles in the same order), and its stations update their
-    beliefs together one time slot at a time; random_hop never reads
-    what it senses, so it only advances the stream by its sensing
-    uniforms; a custom policy senses, updates and decides station by
-    station. The built-in policies pick through the same routine as
-    decide.
+    Each time slot draws q uniforms for external traffic, then q sensing
+    uniforms per station in index order (stations without users
+    included), interleaved with the draws of decide for policies that
+    draw. greedy_belief picks without drawing, so a run of time slots
+    takes these uniforms in one call (the same doubles in the same order)
+    and updates every row at once; random_hop never reads what it senses;
+    a custom policy senses, updates and decides station by station. The
+    built-in policies pick through the same routine as decide.
     """
     if not (callable(policy) or policy in POLICIES):
         raise ValueError(f"unknown policy {policy!r}, expected one of {POLICIES}")
@@ -360,18 +360,15 @@ def run_episode_trace(cfg: GridConfig, policy, rng: RngSpec):
     n_users = cfg.k
     grid = OccupancyGrid(q, cfg.p, n_users)
     jammed = sorted(cfg.jammed_slots)
+    grid.source[:, jammed] = _SRC_JAMMER
 
-    # greedy_belief keeps one row per station; a custom policy's stations
-    # each keep their own state
     beliefs = BeliefState(probs=np.full((m, q), 0.5))
-    station_beliefs = [BeliefState.uniform(q) for _ in range(m)]
     orders = [None] * m  # random_hop ranks no slots
     # user index ranges per station
     bounds = np.concatenate([[0], np.cumsum(cfg.users_per_bs)]).tolist()
     slots = frozenset(range(q))
     idle = [-1] * n_users
     no_bans = [()] * n_users
-    overloads = 0
 
     # time slots per draw: a bounded run under greedy_belief, so scratch
     # memory does not grow with p
@@ -380,11 +377,10 @@ def run_episode_trace(cfg: GridConfig, policy, rng: RngSpec):
         u = gen.random((min(run, cfg.p - t0), m + 1 if greedy else 1, q))
         src = grid.source[t0 : t0 + len(u)]
         src[u[:, 0] < cfg.external_occupancy_prob] = _SRC_EXTERNAL
-        if greedy or custom:  # random_hop reads no truth; its jammed columns come last
-            src[:, jammed] = _SRC_JAMMER
-            truth = src > 0
+        # a station senses src > 0, true on every jammed cell whether or not
+        # an external draw overwrote it; random_hop reads none of it
         if greedy:
-            seen = _seen(u[:, 1:], truth[:, None], cfg)
+            seen = _seen(u[:, 1:], src[:, None] > 0, cfg)
         for t in range(t0, t0 + len(u)):
             if greedy:
                 beliefs = update_beliefs(beliefs, seen[t - t0], cfg)
@@ -396,27 +392,26 @@ def run_episode_trace(cfg: GridConfig, policy, rng: RngSpec):
             alloc = idle.copy()
             for b in range(m):
                 if custom:
-                    obs = sense(truth[t - t0], cfg, gen)
-                    station_beliefs[b] = update_beliefs(station_beliefs[b], obs, cfg)
+                    state = BeliefState(probs=beliefs.probs[b])
+                    obs = sense(src[t - t0] > 0, cfg, gen)
+                    state.probs[:] = update_beliefs(state, obs, cfg).probs
                 elif not greedy:
                     gen.random(q)  # random_hop's sensing uniforms, never read
                 lo, hi = bounds[b], bounds[b + 1]
                 if hi == lo:
                     continue
                 if custom:
-                    picks = decide(
-                        station_beliefs[b], prev[lo:hi], policy, gen
-                    ).tolist()
+                    picks = decide(state, prev[lo:hi], policy, gen).tolist()
                 else:
                     taken = set(alloc[:lo]) if cfg.shared_control_matrix else set()
                     picks = _pick(
                         orders[b], slots, prev[lo:hi], taken, bans[lo:hi], gen
                     )
-                    overloads += picks.count(-1)
                 alloc[lo:hi] = picks
             grid.assignments[t] = alloc
-    grid.source[:, jammed] = _SRC_JAMMER
+    grid.source[:, jammed] = _SRC_JAMMER  # the jammer's tag over external draws
 
+    overloads = 0 if custom else int(np.count_nonzero(grid.assignments < 0))
     return _episode_stats(grid, L, overloads), grid
 
 

@@ -446,6 +446,18 @@ def test_validate_passes_and_is_deterministic(tmp_path, capsys):
     assert len(names) == len(set(names))
 
 
+def test_validate_runs_at_fewer_than_eight_slots(tmp_path, capsys):
+    # the rate check asks for k = 2 and k = 8; at q = 4 it must not build
+    # a k the user never set
+    out = tmp_path / "small.json"
+    code, _, err = _run(capsys, "validate", "--trials", "2000", "--set", "q=4",
+                        "--set", "k=2", "--out", str(out))
+    assert code == 0, err
+    report = json.loads(out.read_text())
+    assert report["passed"] is True
+    assert "covert_rate_vs_quadrature" in [c["name"] for c in report["checks"]]
+
+
 @pytest.mark.parametrize("owner,target,failing", [
     (specfun, "tricomi_u", {"tricomi_power_identity", "tricomi_kummer_transform"}),
     (analytic, "dep", {"dep_vs_mc", "dep_at_power_upper_bound"}),

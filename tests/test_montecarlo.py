@@ -301,3 +301,16 @@ def test_rate_rejects_bad_power():
 def test_rate_rejects_infinite_power():
     with pytest.raises(ValueError, match="power p must be finite"):
         simulate_rate(_BASE, math.inf, trials=1000, rng=RngSpec(1, 0))
+
+
+@pytest.mark.parametrize("p_b, g", [(math.inf, 0.0), (0.0, math.inf)],
+                         ids=["p_b-inf-g-0", "p_b-0-g-inf"])
+def test_statistic_samples_without_received_power(p_b, g):
+    # g = 0 or p_b = 0 is no received power, as in the closed forms, even
+    # where the other factor is inf: the samples are those of p_b = g = 0,
+    # not 0 * inf = NaN
+    spec = RngSpec(11, 2)
+    want = detector_statistic_samples(SystemParams(p_b=0.0), 300, spec, True, 0.0)
+    got = detector_statistic_samples(SystemParams(p_b=p_b), 300, spec, True, g)
+    assert np.all(np.isfinite(got))
+    assert got.tobytes() == want.tobytes()
